@@ -302,19 +302,14 @@ def _forward_products(config: RunConfig, potential: FourierPotential):
 
 
 def cmd_forward(config: RunConfig) -> int:
+    """forward and export-spectral-data: the same products, of which
+    export-spectral-data writes only the spectral data."""
     potential = load_potential(config.inputs[0])
     data, report = _forward_products(config, potential)
     os.makedirs(config.out, exist_ok=True)
     _write_json(os.path.join(config.out, "spectral-data.json"), data)
-    _write_json(os.path.join(config.out, "spectrum-report.json"), report)
-    return 0
-
-
-def cmd_export(config: RunConfig) -> int:
-    potential = load_potential(config.inputs[0])
-    data, _report = _forward_products(config, potential)
-    os.makedirs(config.out, exist_ok=True)
-    _write_json(os.path.join(config.out, "spectral-data.json"), data)
+    if config.command == "forward":
+        _write_json(os.path.join(config.out, "spectrum-report.json"), report)
     return 0
 
 
@@ -336,15 +331,7 @@ def cmd_inverse(config: RunConfig) -> int:
     if config.self_test:
         potential = load_potential(config.self_test)
         data, _report = _forward_products(config, potential)
-        provider = SampledProvider(
-            [complex(s["re"], s["im"]) for s in data["samples"]],
-            [complex(*s["c11"]) for s in data["samples"]],
-            [complex(*s["c12"]) for s in data["samples"]],
-            [
-                (complex(e["re"], e["im"]), e["sector"], e["multiplicity"])
-                for e in data["eigenvalues"]
-            ],
-        )
+        provider = SampledProvider.from_dict(data)
         result = reconstruct(provider, n_max=config.n_max, order=config.order)
         errs = [abs(result.beta - potential.beta) / abs(potential.beta)]
         for n in range(1, config.n_max + 1):
@@ -354,11 +341,7 @@ def cmd_inverse(config: RunConfig) -> int:
         print(f"self-test max relative error: {max(errs):.3e}")
         return 0
     provider = sampled_provider(config.inputs[0])
-    meta_n = None
-    try:
-        meta_n = _load_json(config.inputs[0]).get("meta", {}).get("n_max")
-    except SchemaError:
-        pass
+    meta_n = provider.meta.get("n_max")
     n_max = int(meta_n) if meta_n else config.n_max
     result = reconstruct(provider, n_max=n_max, order=max(config.order, n_max))
     out = config.out if config.out.endswith(".json") else os.path.join(
@@ -437,15 +420,14 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=".", help="output directory or file")
         p.add_argument("--seed", type=int, default=0, help="seed for search jitter")
 
-    p = sub.add_parser("forward", help="spectral data + spectrum report from a potential")
-    common(p)
-    p.add_argument("--grid-step", type=float, default=0.05, help="raster step of the sample grid")
-    p.add_argument("--grid-max", type=float, default=6.0, help="raster extent of the sample grid")
-
-    p = sub.add_parser("export-spectral-data", help="spectral data only")
-    common(p)
-    p.add_argument("--grid-step", type=float, default=0.05)
-    p.add_argument("--grid-max", type=float, default=6.0)
+    for name, text in (
+        ("forward", "spectral data + spectrum report from a potential"),
+        ("export-spectral-data", "spectral data only"),
+    ):
+        p = sub.add_parser(name, help=text)
+        common(p)
+        p.add_argument("--grid-step", type=float, default=0.05, help="raster step of the sample grid")
+        p.add_argument("--grid-max", type=float, default=6.0, help="raster extent of the sample grid")
 
     p = sub.add_parser("spectrum", help="spectrum report only")
     common(p)
@@ -490,10 +472,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         config = _config_from_args(args)
-        if args.command == "forward":
+        if args.command in ("forward", "export-spectral-data"):
             return cmd_forward(config)
-        if args.command == "export-spectral-data":
-            return cmd_export(config)
         if args.command == "spectrum":
             return cmd_spectrum(config)
         if args.command == "inverse":

@@ -82,7 +82,10 @@ class CoefficientTable:
     """Immutable triangular array V[n, a], 1 <= n <= a <= order.
 
     Entries are stored in a dense complex matrix; position [n-1, a-1] holds
-    V[n, a] and everything below the diagonal is zero.
+    V[n, a] and everything below the diagonal is zero.  Everything the
+    series evaluation needs that does not depend on x or lambda (the live
+    rows, the row sums at x = 0, the tail estimate) is computed once here,
+    so a table can be shared between threads without locking.
     """
 
     def __init__(self, entries: np.ndarray):
@@ -94,7 +97,12 @@ class CoefficientTable:
         entries[np.tril_indices(entries.shape[0], k=-1)] = 0.0
         entries.setflags(write=False)
         self._entries = entries
-        self._cache = {}
+        #: 0-based indices of the rows that are not identically zero.  Only
+        #: these carry a pole of the series; for a table that satisfies the
+        #: recurrences they are exactly the rows with V[n, n] != 0.
+        self.live_rows = np.flatnonzero(np.any(entries != 0.0, axis=1))
+        self._zero_sums = _row_sums(entries, 0.0)
+        self._tail = tail_report(self, warn=False)
 
     @property
     def order(self) -> int:
@@ -112,48 +120,47 @@ class CoefficientTable:
     def diagonal(self) -> np.ndarray:
         return np.diagonal(self._entries).copy()
 
-    def row_sums(self, x) -> tuple[np.ndarray, np.ndarray]:
-        """(sum_a V[n,a] e^{iax}, sum_a V[n,a] (ia) e^{iax}) for each row n.
+    def row_sums(self, x, derivatives: int = 1) -> tuple:
+        """(s_n(x), s_n'(x), ...) up to the given derivative order, where
+        s_n(x) = sum_a V[n,a] e^{iax}, for each row n; x may be complex.
 
-        x may be complex; results are cached per x so repeated evaluation at
-        a fixed point (x = 0 above all) costs one matrix-vector product.
+        Value and slope at x = 0, where every connection coefficient is
+        taken, are formed once, at construction.
         """
-        key = complex(x)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        if len(self._cache) > 256:
-            self._cache.clear()
-        alphas = np.arange(1, self.order + 1)
-        e = np.exp(1j * alphas * key)
-        s = self._entries @ e
-        ds = self._entries @ (1j * alphas * e)
-        self._cache[key] = (s, ds)
-        return s, ds
+        if x == 0 and derivatives <= 1:
+            return self._zero_sums[: derivatives + 1]
+        return _row_sums(self._entries, x, derivatives)
 
     @property
     def tail_estimate(self) -> float:
         """Projected dropped-tail contribution of the weighted norm."""
-        return tail_report(self, warn=False).tail_estimate
+        return self._tail.tail_estimate
+
+
+def _row_sums(entries: np.ndarray, x, derivatives: int = 1) -> tuple:
+    ia = 1j * np.arange(1, entries.shape[0] + 1)
+    e = np.exp(ia * x)
+    sums = []
+    for _ in range(derivatives + 1):
+        sums.append(entries @ e)
+        e = ia * e
+    return tuple(sums)
 
 
 def build_table(potential: FourierPotential, order: int = 30) -> CoefficientTable:
     """Fill the table column by column from the potential harmonics.
 
     The divisor a (a - n) is at least 1, so the recursion never degenerates.
+    Entries left of the diagonal are zero, so the sum over s = n ... a-1
+    for rows n < a is one product with the known block of columns < a.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    q = np.zeros(order + 1, dtype=complex)
-    for n in range(1, order + 1):
-        q[n] = potential.harmonic(n)
+    q = np.array([0.0] + [potential.harmonic(n) for n in range(1, order + 1)], dtype=complex)
     v = np.zeros((order + 1, order + 1), dtype=complex)
     for a in range(1, order + 1):
-        for n in range(1, a):
-            acc = 0.0 + 0.0j
-            for s in range(n, a):
-                acc += q[a - s] * v[n, s]
-            v[n, a] = -acc / (a * (a - n))
+        n = np.arange(1, a)
+        v[1:a, a] = -(v[1:a, 1:a] @ q[a - 1 : 0 : -1]) / (a * (a - n))
         v[a, a] = -q[a] / a - v[1:a, a].sum()
     return CoefficientTable(v[1:, 1:])
 
@@ -163,22 +170,18 @@ def table_from_diagonal(diag: Sequence[complex]) -> CoefficientTable:
 
     Columns are filled in increasing order; the entry V[n, c] (n < c) only
     needs the fully known column c - n, so every right-hand side term is
-    available by the time it is used.
+    available by the time it is used.  Column c reads columns c-1 ... 1,
+    that is c - n for n = 1 ... c-1, as one reversed block.
     """
-    diag = [complex(d) for d in diag]
+    diag = np.asarray(diag, dtype=complex)
     order = len(diag)
     if order < 1:
         raise ValueError("need at least one diagonal entry")
     v = np.zeros((order + 1, order + 1), dtype=complex)
-    for n in range(1, order + 1):
-        v[n, n] = diag[n - 1]
+    np.fill_diagonal(v[1:, 1:], diag)
     for c in range(2, order + 1):
-        for n in range(1, c):
-            a = c - n
-            acc = 0.0 + 0.0j
-            for m in range(1, a + 1):
-                acc += v[m, a] / (m + n)
-            v[n, c] = v[n, n] * acc
+        m = np.arange(1, c)
+        v[1:c, c] = np.diagonal(v)[1:c] * (v[1:c, c - 1 : 0 : -1] / (m[:, None] + m)).sum(axis=0)
     return CoefficientTable(v[1:, 1:])
 
 
@@ -198,29 +201,23 @@ def recurrence_residuals(table: CoefficientTable, harmonics: Sequence[complex]) 
     """
     order = table.order
     q = np.zeros(order + 1, dtype=complex)
-    for n, c in enumerate(harmonics, start=1):
-        if n <= order:
-            q[n] = complex(c)
+    given = [complex(c) for c in harmonics][:order]
+    q[1 : len(given) + 1] = given
     ent = table.entries
     r_offdiag = 0.0
     r_colsum = 0.0
     for a in range(1, order + 1):
-        for n in range(1, a):
-            acc = a * (a - n) * ent[n - 1, a - 1]
-            for s in range(n, a):
-                acc += q[a - s] * ent[n - 1, s - 1]
-            r_offdiag = max(r_offdiag, abs(acc))
+        n = np.arange(1, a)
+        acc = a * (a - n) * ent[: a - 1, a - 1] + ent[: a - 1, : a - 1] @ q[a - 1 : 0 : -1]
+        r_offdiag = max(r_offdiag, float(np.max(np.abs(acc), initial=0.0)))
         r_colsum = max(r_colsum, abs(a * ent[:a, a - 1].sum() + q[a]))
     return r_offdiag, r_colsum
 
 
 def _column_contributions(table: CoefficientTable) -> np.ndarray:
-    ent = np.abs(table.entries)
-    order = table.order
-    n = np.arange(1, order + 1, dtype=float)
-    a = np.arange(1, order + 1, dtype=float)
-    weighted = (ent / n[:, None]) * a[None, :]
-    return weighted.sum(axis=0)
+    """a * sum_n |V[n, a]| / n for each column a."""
+    idx = np.arange(1, table.order + 1, dtype=float)
+    return (np.abs(table.entries) / idx[:, None]).sum(axis=0) * idx
 
 
 def tail_weight(table: CoefficientTable) -> float:
@@ -238,13 +235,8 @@ def tail_report(table: CoefficientTable, warn: bool = True) -> TailReport:
     """
     contrib = _column_contributions(table)
     stored = float(contrib.sum())
-    nonzero = contrib[contrib > 0.0]
-    if nonzero.size == 0:
-        return TailReport(stored=stored, tail_estimate=0.0, converged=True)
     window = contrib[-5:]
-    if window.size >= 2 and not all(
-        window[i + 1] < window[i] or window[i + 1] == 0.0 for i in range(window.size - 1)
-    ):
+    if not np.all((window[1:] < window[:-1]) | (window[1:] == 0.0)):
         if warn:
             warnings.warn(
                 "column contributions are not decreasing; raise the order",
@@ -253,19 +245,9 @@ def tail_report(table: CoefficientTable, warn: bool = True) -> TailReport:
             )
         return TailReport(stored=stored, tail_estimate=math.inf, converged=False)
     last = float(contrib[-1])
-    if last == 0.0:
-        return TailReport(stored=stored, tail_estimate=0.0, converged=True)
-    prev = float(contrib[-2]) if contrib.size >= 2 else None
-    if prev is None or prev == 0.0:
-        # single-column table: nothing to extrapolate from
+    if contrib.size < 2 or last == 0.0:
+        # nothing left to project, or a single column to project from
         return TailReport(stored=stored, tail_estimate=last, converged=True)
-    ratio = last / prev
-    if ratio >= 1.0:
-        if warn:
-            warnings.warn(
-                "column contributions are not decreasing; raise the order",
-                TruncationWarning,
-                stacklevel=2,
-            )
-        return TailReport(stored=stored, tail_estimate=math.inf, converged=False)
+    # the window check makes the last column smaller than the one before
+    ratio = last / float(contrib[-2])
     return TailReport(stored=stored, tail_estimate=last * ratio / (1.0 - ratio), converged=True)

@@ -68,14 +68,8 @@ class AnalyticProvider:
         self.potential = potential
         self.order = order
         self.table = build_table(potential, order)
-        self._c11, self._c12 = coefficient_evaluators(self.table, potential.beta)
+        self.eval_c11, self.eval_c12 = coefficient_evaluators(self.table, potential.beta)
         self._eigenvalues = None
-
-    def eval_c11(self, lam):
-        return self._c11(lam)
-
-    def eval_c12(self, lam):
-        return self._c12(lam)
 
     @property
     def eigenvalues(self) -> list:
@@ -98,7 +92,8 @@ class SampledProvider:
     """
 
     def __init__(self, points: Sequence[complex], c11: Sequence[complex],
-                 c12: Sequence[complex], eigenvalues: Sequence[tuple] = ()):
+                 c12: Sequence[complex], eigenvalues: Sequence[tuple] = (),
+                 meta: dict | None = None):
         self._points = np.asarray(points, dtype=complex)
         self._c11 = np.asarray(c11, dtype=complex)
         self._c12 = np.asarray(c12, dtype=complex)
@@ -107,6 +102,21 @@ class SampledProvider:
         self.eigenvalues = [
             (complex(lam), int(sector), int(mult)) for lam, sector, mult in eigenvalues
         ]
+        #: the advisory "meta" object of the file the samples came from
+        self.meta = dict(meta or {})
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "SampledProvider":
+        """Provider for the contents of a spectral-data file (see `cli`)."""
+        samples = data["samples"]
+        return cls(
+            [complex(s["re"], s["im"]) for s in samples],
+            [complex(*s["c11"]) for s in samples],
+            [complex(*s["c12"]) for s in samples],
+            [(complex(e["re"], e["im"]), e["sector"], e["multiplicity"])
+             for e in data["eigenvalues"]],
+            data["meta"],
+        )
 
     def _interpolate(self, values: np.ndarray, lam: complex) -> complex:
         if self._points.size == 0:
@@ -149,15 +159,7 @@ def sampled_provider(path) -> SampledProvider:
     """Build a provider from a spectral-data JSON file."""
     from .cli import load_spectral_data
 
-    data = load_spectral_data(path)
-    points = [complex(s["re"], s["im"]) for s in data["samples"]]
-    c11 = [complex(s["c11"][0], s["c11"][1]) for s in data["samples"]]
-    c12 = [complex(s["c12"][0], s["c12"][1]) for s in data["samples"]]
-    eigs = [
-        (complex(e["re"], e["im"]), e["sector"], e["multiplicity"])
-        for e in data["eigenvalues"]
-    ]
-    return SampledProvider(points, c11, c12, eigs)
+    return SampledProvider.from_dict(load_spectral_data(path))
 
 
 def recover_diagonal(provider, n_max: int, return_flags: bool = False):

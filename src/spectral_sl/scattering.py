@@ -26,7 +26,7 @@ import numpy as np
 
 from .coeffs import CoefficientTable
 from .errors import ExtrapolationDivergence, ZeroWavenumber
-from .solutions import POLE_TOL, SolutionSample, eval_f1, eval_f2
+from .solutions import POLE_TOL, SolutionSample, _exponent, _series
 
 
 @dataclass(frozen=True)
@@ -49,23 +49,36 @@ def wronskian(f: SolutionSample, g: SolutionSample) -> complex:
     return f.derivative * g.value - f.value * g.derivative
 
 
-def _zero_samples(table: CoefficientTable, beta: float, lam: np.ndarray) -> dict:
-    """Vectorised values / derivatives of all four branches at x = 0."""
+#: The two branches whose Wronskian at x = 0 makes each coefficient.
+_WRONSKIAN_PAIRS = {
+    "c11": ("f1-", "f2+"),
+    "c12": ("f2+", "f1+"),
+    "c21": ("f1+", "f2+"),
+    "c22": ("f2-", "f1+"),
+}
+
+
+def _coefficients(table: CoefficientTable, beta: float, lam, names, pole_tol=None) -> list:
+    """The named coefficients at lam (scalar or array), as arrays.
+
+    Each is its branches' Wronskian over 2i lam (c11, c12) or 2 lam beta
+    (c21, c22).  Only the branches the names use are evaluated, each once,
+    so a coefficient is finite wherever its own two branches are.  With
+    pole_tol=None neither the branches nor lam = 0 are guarded.
+    """
     lam = np.asarray(lam, dtype=complex)
-    s, ds = table.row_sums(0.0)
-    n = np.arange(1, table.order + 1, dtype=float)
-    out = {}
-    for branch, sgn in (("+", 1.0), ("-", -1.0)):
-        w1 = 1.0 / (n[:, None] + sgn * 2.0 * lam[None, :])
-        g1 = (s[:, None] * w1).sum(axis=0)
-        dg1 = (ds[:, None] * w1).sum(axis=0)
-        out[f"f1{branch}"] = 1.0 + g1
-        out[f"df1{branch}"] = sgn * 1j * lam * (1.0 + g1) + dg1
-        w2 = 1.0 / (n[:, None] - sgn * 2j * beta * lam[None, :])
-        g2 = (s[:, None] * w2).sum(axis=0)
-        dg2 = (ds[:, None] * w2).sum(axis=0)
-        out[f"f2{branch}"] = 1.0 + g2
-        out[f"df2{branch}"] = sgn * beta * lam * (1.0 + g2) + dg2
+    if pole_tol is not None and np.any(np.abs(lam) < pole_tol):
+        raise ZeroWavenumber("coefficients are undefined at lambda = 0")
+    branches = {}
+    for which in sorted({b for name in names for b in _WRONSKIAN_PAIRS[name]}):
+        k, scale = _exponent(which, lam, beta)
+        f, df, _dist = _series(table, k, 0.0, scale, pole_tol)
+        branches[which] = SolutionSample(f, df)
+    out = []
+    for name in names:
+        first, second = _WRONSKIAN_PAIRS[name]
+        norm = 2j * lam if name in ("c11", "c12") else 2.0 * lam * beta
+        out.append(wronskian(branches[first], branches[second]) / norm)
     return out
 
 
@@ -78,21 +91,14 @@ def coefficient_evaluators(
     which is exactly what the pole-strength extraction samples.
     """
 
-    def c11(lam):
-        arr = np.atleast_1d(np.asarray(lam, dtype=complex))
-        z = _zero_samples(table, beta, arr)
-        w = z["df1-"] * z["f2+"] - z["f1-"] * z["df2+"]
-        out = w / (2j * arr)
-        return out if np.ndim(lam) else complex(out[0])
+    def evaluator(name):
+        def c(lam):
+            (out,) = _coefficients(table, beta, lam, (name,))
+            return out if np.ndim(lam) else complex(out[0])
 
-    def c12(lam):
-        arr = np.atleast_1d(np.asarray(lam, dtype=complex))
-        z = _zero_samples(table, beta, arr)
-        w = z["df2+"] * z["f1+"] - z["f2+"] * z["df1+"]
-        out = w / (2j * arr)
-        return out if np.ndim(lam) else complex(out[0])
+        return c
 
-    return c11, c12
+    return evaluator("c11"), evaluator("c12")
 
 
 def connection_coefficients(
@@ -107,19 +113,11 @@ def connection_coefficients(
     they stay available as independent consistency checks.
     """
     lam = complex(lam)
-    if abs(lam) < pole_tol:
-        raise ZeroWavenumber("coefficients are undefined at lambda = 0")
-    f1p = eval_f1(table, lam, 0.0, "+", pole_tol)
-    f1m = eval_f1(table, lam, 0.0, "-", pole_tol)
-    f2p = eval_f2(table, beta, lam, 0.0, "+", pole_tol)
-    f2m = eval_f2(table, beta, lam, 0.0, "-", pole_tol)
-    return ConnectionCoefficients(
-        lam=lam,
-        c11=wronskian(f1m, f2p) / (2j * lam),
-        c12=wronskian(f2p, f1p) / (2j * lam),
-        c21=wronskian(f1p, f2p) / (2.0 * lam * beta),
-        c22=wronskian(f2m, f1p) / (2.0 * lam * beta),
+    c11, c12, c21, c22 = (
+        complex(c[0])
+        for c in _coefficients(table, beta, lam, ("c11", "c12", "c21", "c22"), pole_tol)
     )
+    return ConnectionCoefficients(lam=lam, c11=c11, c12=c12, c21=c21, c22=c22)
 
 
 def matching_coefficients_f1(
@@ -130,15 +128,8 @@ def matching_coefficients_f1(
     Built only from the exponential-family Wronskians, so it stays finite at
     the real half-integer points where c11 itself blows up.
     """
-    lam = complex(lam)
-    if abs(lam) < pole_tol:
-        raise ZeroWavenumber("matching is undefined at lambda = 0")
-    f1p = eval_f1(table, lam, 0.0, "+", pole_tol)
-    f2p = eval_f2(table, beta, lam, 0.0, "+", pole_tol)
-    f2m = eval_f2(table, beta, lam, 0.0, "-", pole_tol)
-    c22 = wronskian(f2m, f1p) / (2.0 * lam * beta)
-    c21 = wronskian(f1p, f2p) / (2.0 * lam * beta)
-    return -c22, -c21
+    c22, c21 = _coefficients(table, beta, complex(lam), ("c22", "c21"), pole_tol)
+    return -complex(c22[0]), -complex(c21[0])
 
 
 def matching_coefficients_f2(
@@ -149,15 +140,8 @@ def matching_coefficients_f2(
     Built only from the oscillatory-family Wronskians; finite at the
     imaginary lattice points where c22 blows up.
     """
-    lam = complex(lam)
-    if abs(lam) < pole_tol:
-        raise ZeroWavenumber("matching is undefined at lambda = 0")
-    f1p = eval_f1(table, lam, 0.0, "+", pole_tol)
-    f1m = eval_f1(table, lam, 0.0, "-", pole_tol)
-    f2p = eval_f2(table, beta, lam, 0.0, "+", pole_tol)
-    c11 = wronskian(f1m, f2p) / (2j * lam)
-    c12 = wronskian(f2p, f1p) / (2j * lam)
-    return -c11, -c12
+    c11, c12 = _coefficients(table, beta, complex(lam), ("c11", "c12"), pole_tol)
+    return -complex(c11[0]), -complex(c12[0])
 
 
 def richardson_limit(values: Sequence[complex], step_ratio: float) -> complex:

@@ -1,16 +1,26 @@
 """Series evaluation of the four fundamental solutions.
 
-With V the coefficient table of the potential, the two solution families are
+All four are one series in one exponent k.  With V the coefficient table of
+the potential and s_n(x) = sum_a V[n,a] e^{iax} its row sums,
 
-    f1(x, lam; +/-) = e^{+/- i lam x} (1 + sum_n (n +/- 2 lam)^{-1} sum_a V[n,a] e^{iax})
-    f2(x, lam; +/-) = e^{+/- lam beta x} (1 + sum_n (n -/+ 2i lam beta)^{-1} sum_a V[n,a] e^{iax})
+    f(x; k) = e^{kx} (1 + sum_n s_n(x) / (n - 2ik)),
 
-normalised by their exponential behaviour as Im x -> +infinity.  The f1 pair
-solves -y'' + q y = lam^2 y (the x >= 0 form of the equation), the f2 pair
-solves -y'' + q y = -lam^2 beta^2 y (the x < 0 form); both use the same
-table.  The minus branch of either family is the plus branch at -lam, and
-that reflection is how it is computed here, so the identity is exact.
+and the branches are
 
+    f1+ : k = +i lam      f1- : k = -i lam
+    f2+ : k = +lam beta   f2- : k = -lam beta,
+
+normalised by their exponential behaviour as Im x -> +infinity.  The f1
+pair solves -y'' + q y = lam^2 y (the x >= 0 form of the equation), the f2
+pair solves -y'' + q y = -lam^2 beta^2 y (the x < 0 form).  Every branch has
+its poles on the one lattice k = -in/2, n = 1 ... order, which is lam = -n/2
+for f1+, +n/2 for f1-, -in/(2 beta) for f2+ and +in/(2 beta) for f2-; a
+pole is present only where row n of the table is nonzero.  The minus
+branch of either family is the plus branch at -lam: both have the same k,
+so the identity is exact.
+
+`_series` is the only place the weights 1/(n - 2ik) and the prefactor
+e^{kx} are formed; everything else, here and in `scattering`, calls it.
 Derivatives are always term-wise (analytic), never finite differences:
 the Wronskian identities downstream are exact only with exact derivatives.
 """
@@ -23,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coeffs import CoefficientTable, FourierPotential
-from .errors import PoleProximity, ZeroWavenumber
+from .errors import PoleProximity
 
 #: Distance (in the lambda plane) under which generic series evaluation is
 #: refused and the caller must use the scaled limit `eval_fn_limit`.
@@ -65,26 +75,55 @@ def pole_distance_f2(lam: complex, beta: float, order: int, branch: str = "+") -
     return float(np.min(np.abs(lam - sign * 1j * n / (2.0 * beta))))
 
 
-def _guarded_distance(table, lattice: np.ndarray, lam: complex, pole_tol: float, what: str) -> float:
-    """Distance to the nearest lattice point whose table row is nonzero.
+def _exponent(which: str, lam, beta: float):
+    """(k, scale) of branch 'f1+', 'f1-', 'f2+' or 'f2-' at lam.
 
-    Lattice points with an identically zero row carry no singularity (the
-    free case above all), so they never trigger the guard.
+    ``scale`` converts a distance in k into one in lam: 1 for f1, beta for
+    f2.  lam may be an array.
     """
-    gaps = np.abs(lam - lattice)
-    row_weights = np.abs(table.entries).sum(axis=1)
-    live = row_weights > 0.0
-    if not np.any(live):
-        return float("inf")
-    dist = float(np.min(gaps[live]))
-    if dist < pole_tol:
-        raise PoleProximity(f"lambda {lam} is within {pole_tol} of a pole of {what}")
-    return dist
+    if which not in ("f1+", "f1-", "f2+", "f2-"):
+        raise ValueError(f"unknown solution tag {which!r}")
+    k, scale = (1j * lam, 1.0) if which[1] == "1" else (lam * beta, beta)
+    return (k if which[2] == "+" else -k), scale
 
 
-def _check_branch(branch: str) -> None:
-    if branch not in ("+", "-"):
-        raise ValueError(f"branch must be '+' or '-', got {branch!r}")
+def _series(table: CoefficientTable, k, x, scale: float = 1.0,
+            pole_tol: float | None = POLE_TOL, second: bool = False) -> tuple:
+    """f(x; k), its x-derivative and, with ``second``, its second
+    x-derivative for every exponent in k, followed by the pole distance.
+
+    All are arrays of at least one dimension, shaped like k.  The distance
+    is measured in the lam plane (the k-distance divided by ``scale``) from
+    each k to the nearest pole k = -in/2 of a live row; it is infinite for
+    a table with no live row.  Raises PoleProximity when a distance is
+    below ``pole_tol``; with pole_tol=None nothing is guarded.
+    """
+    k = np.atleast_1d(np.asarray(k, dtype=complex))
+    rows = table.live_rows
+    # n - 2ik = -2i (k + in/2), so the weights' own denominators give the
+    # pole distance
+    denom = (rows + 1.0)[:, None] - 2j * k
+    dist = np.min(np.abs(denom), axis=0, initial=np.inf) / (2.0 * scale)
+    if pole_tol is not None and np.any(dist < pole_tol):
+        raise PoleProximity(
+            f"lambda is {dist.min():.3g} from a pole of the series (tolerance {pole_tol})"
+        )
+    w = 1.0 / denom
+    g, dg, *d2g = (sums[rows] @ w for sums in table.row_sums(x, 2 if second else 1))
+    g = 1.0 + g
+    e = np.exp(k * x)
+    derivs = [e * g, e * (k * g + dg)]
+    if second:
+        derivs.append(e * (k * k * g + 2.0 * k * dg + d2g[0]))
+    return (*derivs, dist)
+
+
+def _sample(table: CoefficientTable, beta: float, which: str, lam, x, pole_tol) -> SolutionSample:
+    """One branch at one (x, lam), with the tail estimate over the pole
+    distance as its truncation bound."""
+    k, scale = _exponent(which, complex(lam), beta)
+    f, df, dist = _series(table, k, x, scale, pole_tol)
+    return SolutionSample(complex(f[0]), complex(df[0]), table.tail_estimate / max(float(dist[0]), _TINY))
 
 
 def eval_f1(
@@ -102,25 +141,7 @@ def eval_f1(
     Raises PoleProximity when lam is within ``pole_tol`` of the branch's
     pole lattice; use `eval_fn_limit` there instead.
     """
-    _check_branch(branch)
-    if branch == "-":
-        return eval_f1(table, -complex(lam), x, "+", pole_tol)
-    lam = complex(lam)
-    n_lattice = -np.arange(1, table.order + 1) / 2.0
-    dist = _guarded_distance(table, n_lattice, lam, pole_tol, "the f1+ series")
-    s, ds = table.row_sums(x)
-    n = np.arange(1, table.order + 1)
-    denom = n + 2.0 * lam
-    # an exact lattice hit can only pass the guard on an identically zero
-    # row, where the term is zero regardless of the weight
-    coeff = np.where(denom == 0.0, 0.0, 1.0 / np.where(denom == 0.0, 1.0, denom))
-    g = complex(np.dot(coeff, s))
-    dg = complex(np.dot(coeff, ds))
-    phase = cmath.exp(1j * lam * complex(x))
-    value = phase * (1.0 + g)
-    derivative = phase * (1j * lam * (1.0 + g) + dg)
-    tail = table.tail_estimate
-    return SolutionSample(value, derivative, tail / max(dist, _TINY))
+    return _sample(table, 1.0, "f1" + branch, lam, x, pole_tol)
 
 
 def eval_f2(
@@ -133,26 +154,10 @@ def eval_f2(
 ) -> SolutionSample:
     """Evaluate the exponential-family solution and its x-derivative.
 
-    Both branches share the table used by `eval_f1`; only the exponential
-    prefactor and the resolvent-style denominators differ.
+    Both branches share the table used by `eval_f1`; only the exponent k
+    differs.
     """
-    _check_branch(branch)
-    if branch == "-":
-        return eval_f2(table, beta, -complex(lam), x, "+", pole_tol)
-    lam = complex(lam)
-    i_lattice = -1j * np.arange(1, table.order + 1) / (2.0 * beta)
-    dist = _guarded_distance(table, i_lattice, lam, pole_tol, "the f2+ series")
-    s, ds = table.row_sums(x)
-    n = np.arange(1, table.order + 1)
-    denom = n - 2j * lam * beta
-    coeff = np.where(denom == 0.0, 0.0, 1.0 / np.where(denom == 0.0, 1.0, denom))
-    g = complex(np.dot(coeff, s))
-    dg = complex(np.dot(coeff, ds))
-    phase = cmath.exp(lam * beta * complex(x))
-    value = phase * (1.0 + g)
-    derivative = phase * (lam * beta * (1.0 + g) + dg)
-    tail = table.tail_estimate
-    return SolutionSample(value, derivative, tail / max(dist, _TINY))
+    return _sample(table, beta, "f2" + branch, lam, x, pole_tol)
 
 
 def eval_fn_limit(table: CoefficientTable, n: int, x, sign: str = "+") -> complex:
@@ -164,13 +169,12 @@ def eval_fn_limit(table: CoefficientTable, n: int, x, sign: str = "+") -> comple
     branch reflected in lam, and the reflection maps one limit point onto
     the other), so ``sign`` only mirrors the caller's bookkeeping.
     """
-    _check_branch(sign)
+    if sign not in ("+", "-"):
+        raise ValueError(f"branch must be '+' or '-', got {sign!r}")
     if not 1 <= n <= table.order:
         raise ValueError(f"require 1 <= n <= {table.order}")
-    row = table.entries[n - 1, n - 1 :]
-    alphas = np.arange(n, table.order + 1)
-    series = complex(np.dot(row, np.exp(1j * alphas * complex(x))))
-    return series * cmath.exp(-0.5j * n * complex(x))
+    (sums,) = table.row_sums(x, 0)
+    return complex(sums[n - 1]) * cmath.exp(-0.5j * n * complex(x))
 
 
 def ode_residual(
@@ -187,36 +191,35 @@ def ode_residual(
     series.  ``which`` is one of 'f1+', 'f1-', 'f2+', 'f2-'; rho(x) is 1 for
     x >= 0 and -beta^2 otherwise (evaluate away from the jump at 0).
     """
-    if which not in ("f1+", "f1-", "f2+", "f2-"):
-        raise ValueError(f"unknown solution tag {which!r}")
     lam = complex(lam)
-    family, branch = which[:2], which[2]
-    sgn = 1.0 if branch == "+" else -1.0
-    order = table.order
-    n = np.arange(1, order + 1)
-    if family == "f1":
-        _guarded_distance(table, -sgn * n / 2.0, lam, pole_tol, which)
-        k = sgn * 1j * lam
-        denom = n + sgn * 2.0 * lam
-    else:
-        _guarded_distance(
-            table, -sgn * 1j * n / (2.0 * potential.beta), lam, pole_tol, which
-        )
-        k = sgn * lam * potential.beta
-        denom = n - sgn * 2j * lam * potential.beta
-    weights = np.where(denom == 0.0, 0.0, 1.0 / np.where(denom == 0.0, 1.0, denom))
-
-    alphas = np.arange(1, order + 1)
-    e = np.exp(1j * alphas * x)
-    s = table.entries @ e
-    exps = k + 1j * alphas
-    s2 = table.entries @ ((exps**2) * e)
-    base = cmath.exp(k * x)
-    f = base * (1.0 + complex(np.dot(weights, s)))
-    f2d = base * (k * k + complex(np.dot(weights, s2)))
-
+    k, scale = _exponent(which, lam, potential.beta)
+    f, _df, f2d, _dist = _series(table, k, x, scale, pole_tol, second=True)
     rho = 1.0 if x >= 0 else -(potential.beta**2)
-    return -f2d + potential.at(x) * f - lam * lam * rho * f
+    return complex(-f2d[0] + potential.at(x) * f[0] - lam * lam * rho * f[0])
+
+
+def _continued(table: CoefficientTable, beta: float, lam: complex, x: float,
+               pole_tol: float = POLE_TOL) -> SolutionSample:
+    """f2+ continued to x >= 0, or f1+ continued to x < 0: the matching
+    combination of the native pair of the other family.
+
+    Only the matching coefficients on the side of x are formed, so the
+    result is finite wherever they and that pair are: at lam = n/2 for
+    x < 0 and at lam = i n/(2 beta) for x >= 0 as well.
+    """
+    from .scattering import matching_coefficients_f1, matching_coefficients_f2
+
+    if x >= 0:
+        (a, b), family = matching_coefficients_f2(table, beta, lam, pole_tol), "f1"
+    else:
+        (a, b), family = matching_coefficients_f1(table, beta, lam, pole_tol), "f2"
+    sp = _sample(table, beta, family + "+", lam, x, pole_tol)
+    sm = _sample(table, beta, family + "-", lam, x, pole_tol)
+    return SolutionSample(
+        a * sp.value + b * sm.value,
+        a * sp.derivative + b * sm.derivative,
+        abs(a) * sp.truncation_error + abs(b) * sm.truncation_error,
+    )
 
 
 def extend_across_zero(
@@ -232,26 +235,8 @@ def extend_across_zero(
     solution (natively defined on x < 0); for x < 0 the continuation of the
     plus oscillatory-family solution.  The continuation is the combination
     of the other family fixed by matching value and derivative at 0, so at
-    x = 0 it reproduces the native evaluation exactly.
+    x = 0 it reproduces the native evaluation exactly.  It is finite at the
+    distinguished points where it exists: lam = n/2 for x < 0 and
+    lam = i n/(2 beta) for x >= 0.
     """
-    from .scattering import connection_coefficients
-
-    lam = complex(lam)
-    if abs(lam) < pole_tol:
-        raise ZeroWavenumber("connection coefficients are undefined at lambda = 0")
-    cc = connection_coefficients(table, potential.beta, lam, pole_tol=pole_tol)
-    if x >= 0:
-        sp = eval_f1(table, lam, x, "+", pole_tol)
-        sm = eval_f1(table, lam, x, "-", pole_tol)
-        # the stored coefficients carry the sign of the large-lambda
-        # normalisation, which is opposite to the matching combination
-        value = -(cc.c11 * sp.value + cc.c12 * sm.value)
-        derivative = -(cc.c11 * sp.derivative + cc.c12 * sm.derivative)
-        err = abs(cc.c11) * sp.truncation_error + abs(cc.c12) * sm.truncation_error
-    else:
-        sp = eval_f2(table, potential.beta, lam, x, "+", pole_tol)
-        sm = eval_f2(table, potential.beta, lam, x, "-", pole_tol)
-        value = -(cc.c22 * sp.value + cc.c21 * sm.value)
-        derivative = -(cc.c22 * sp.derivative + cc.c21 * sm.derivative)
-        err = abs(cc.c22) * sp.truncation_error + abs(cc.c21) * sm.truncation_error
-    return SolutionSample(value, derivative, err)
+    return _continued(table, potential.beta, lam, x, pole_tol)

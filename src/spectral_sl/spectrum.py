@@ -25,12 +25,8 @@ from .errors import (
     NearSpectrum,
     SpectralError,
 )
-from .scattering import (
-    coefficient_evaluators,
-    matching_coefficients_f1,
-    matching_coefficients_f2,
-)
-from .solutions import eval_f1, eval_f2
+from .scattering import coefficient_evaluators
+from .solutions import _continued, eval_f1, eval_f2
 
 CONTINUOUS_SPECTRUM_AXES = "axes Re lambda = 0 and Im lambda = 0"
 
@@ -328,22 +324,14 @@ def _global_f1(table, beta, lam, x) -> complex:
     """Plus oscillatory solution continued to the whole line (value only)."""
     if x >= 0:
         return eval_f1(table, lam, x, "+").value
-    a, b = matching_coefficients_f1(table, beta, lam)
-    return (
-        a * eval_f2(table, beta, lam, x, "+").value
-        + b * eval_f2(table, beta, lam, x, "-").value
-    )
+    return _continued(table, beta, lam, x).value
 
 
 def _global_f2(table, beta, lam, x) -> complex:
     """Plus exponential solution continued to the whole line (value only)."""
     if x < 0:
         return eval_f2(table, beta, lam, x, "+").value
-    a, b = matching_coefficients_f2(table, beta, lam)
-    return (
-        a * eval_f1(table, lam, x, "+").value
-        + b * eval_f1(table, lam, x, "-").value
-    )
+    return _continued(table, beta, lam, x).value
 
 
 def resolvent_kernel(
@@ -362,33 +350,16 @@ def resolvent_kernel(
     across x = t.  Symmetric in (x, t) by construction.
     """
     lam = complex(lam)
-    sector = Sector.of_lambda(lam)
-    c11, c12 = coefficient_evaluators(table, beta)
-    k = sector.k
-    if k == 0:
-        coef = complex(c12(lam))
-        denom = 2j * lam * coef
-        u = lambda s: _global_f1(table, beta, lam, s)
-        v = lambda s: _global_f2(table, beta, lam, s)
-    elif k == 1:
-        coef = complex(c11(-lam))
-        denom = 2j * lam * coef
-        u = lambda s: _global_f1(table, beta, lam, s)
-        v = lambda s: _global_f2(table, beta, -lam, s)
-    elif k == 2:
-        coef = complex(c12(-lam))
-        denom = -2j * lam * coef
-        u = lambda s: _global_f1(table, beta, -lam, s)
-        v = lambda s: _global_f2(table, beta, -lam, s)
-    else:
-        coef = complex(c11(lam))
-        denom = -2j * lam * coef
-        u = lambda s: _global_f1(table, beta, -lam, s)
-        v = lambda s: _global_f2(table, beta, lam, s)
+    k = Sector.of_lambda(lam).k
+    coef = complex(sector_coefficient_fn(table, beta, k)(lam))
     if abs(coef) < near_tol:
         raise NearSpectrum(f"lambda {lam} is numerically at the spectrum of sector {k}")
+    # u = f1+ at lu decays at +infinity and v = f2+ at lv at -infinity;
+    # W(v, u) is 2i lu times the sector's coefficient
+    lu = lam if k in (0, 1) else -lam
+    lv = lam if k in (0, 3) else -lam
     hi, lo = (x, t) if x >= t else (t, x)
-    return u(hi) * v(lo) / denom
+    return _global_f1(table, beta, lu, hi) * _global_f2(table, beta, lv, lo) / (2j * lu * coef)
 
 
 def resolvent_residue(
@@ -418,13 +389,8 @@ def resolvent_residue(
         raise ValueError("axis must be 'real' or 'imaginary'")
     if not 1 <= n <= table.order:
         raise ValueError(f"require 1 <= n <= {table.order}")
-    vnn = table.entry(n, n)
     if axis == "real":
-        lam0 = n / 2.0
-        ux = _global_f1(table, beta, lam0, x)
-        ut = _global_f1(table, beta, lam0, t)
+        u, lam0 = _global_f1, n / 2.0
     else:
-        lam0 = 1j * n / (2.0 * beta)
-        ux = _global_f2(table, beta, lam0, x)
-        ut = _global_f2(table, beta, lam0, t)
-    return (2.0 / (1j * n)) * vnn * ux * ut
+        u, lam0 = _global_f2, 1j * n / (2.0 * beta)
+    return (2.0 / (1j * n)) * table.entry(n, n) * u(table, beta, lam0, x) * u(table, beta, lam0, t)

@@ -15,7 +15,7 @@ from spectral_sl import (
     ode_residual,
     wronskian,
 )
-from spectral_sl.scattering import matching_coefficients_f1
+from spectral_sl.scattering import matching_coefficients_f1, matching_coefficients_f2
 
 from .conftest import Q1_TABLE_3, offlattice_lambda, random_potential
 
@@ -216,6 +216,31 @@ class TestExtension:
             vals.append(wronskian(ext, nat))
         vals = np.array(vals)
         assert np.max(np.abs(vals - vals[0])) < 1e-9 * max(1.0, abs(vals[0]))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("axis", ["real", "imaginary"])
+    def test_finite_at_distinguished_points(self, q1_table_30, n, axis):
+        # n/2 is a pole of f1- and c11, i n/(2 beta) one of f2- and c22, but
+        # neither is a pole of the continuation on the side that avoids them
+        if axis == "real":
+            lam, x, side = n / 2.0, -1.0, -1e-12
+            a, b = matching_coefficients_f1(q1_table_30, Q1.beta, lam)
+            plus, minus = (eval_f2(q1_table_30, Q1.beta, lam, x, s) for s in "+-")
+            native = eval_f1(q1_table_30, lam, 0.0, "+")
+        else:
+            lam, x, side = 1j * n / (2.0 * Q1.beta), 1.0, 0.0
+            a, b = matching_coefficients_f2(q1_table_30, Q1.beta, lam)
+            plus, minus = (eval_f1(q1_table_30, lam, x, s) for s in "+-")
+            native = eval_f2(q1_table_30, Q1.beta, lam, 0.0, "+")
+        ext = extend_across_zero(q1_table_30, Q1, lam, x)
+        assert np.isfinite(ext.value) and np.isfinite(ext.derivative)
+        value = a * plus.value + b * minus.value
+        derivative = a * plus.derivative + b * minus.derivative
+        assert abs(ext.value - value) < 1e-12 * max(1.0, abs(value))
+        assert abs(ext.derivative - derivative) < 1e-12 * max(1.0, abs(derivative))
+        # and it meets the native solution at the jump
+        at_jump = extend_across_zero(q1_table_30, Q1, lam, side)
+        assert abs(at_jump.value - native.value) < 1e-10 * max(1.0, abs(native.value))
 
     def test_zero_wavenumber_rejected(self, q1_table_30):
         with pytest.raises(ZeroWavenumber):
