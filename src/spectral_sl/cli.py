@@ -17,6 +17,8 @@ spectral-data.json    {"eigenvalues": [{"re","im","sector","multiplicity"}],
                        "samples": [{"re","im","c11":[re,im],"c12":[re,im]}],
                        "meta": {"beta_hint": <optional>, "n_max":, "A":}}
                       beta_hint is advisory; the inverse never reads it.
+                      The samples include a first-quadrant raster only
+                      with --grid-step.
 spectrum-report.json  {"eigenvalues": [{"re","im","sector","multiplicity",
                                         "coefficient_value":[re,im]}],
                        "singularities": [{"kind","n","re","im"}],
@@ -32,6 +34,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from dataclasses import dataclass, field
 
@@ -47,7 +50,7 @@ from .inverse import (
     sampled_provider,
 )
 from .scattering import coefficient_evaluators
-from .solutions import eval_f1, eval_f2, ode_residual
+from .solutions import eval_with_residual
 from .spectrum import SpectrumReport, EigenvalueHit, Singularity, scan_spectrum
 
 #: Offsets of the sample cluster dropped around every far-field and
@@ -74,7 +77,7 @@ class RunConfig:
     tol: float = 1e-9
     out: str = "."
     seed: int = 0
-    grid_step: float = 0.05
+    grid_step: float | None = None
     grid_max: float = 6.0
     self_test: str | None = None
 
@@ -254,16 +257,17 @@ def load_reconstruction(path) -> dict:
 def sample_points(config: RunConfig, eigenvalues) -> np.ndarray:
     """Deterministic evaluation grid for spectral-data exports.
 
-    A raster over the first-quadrant rectangle, log-spaced spokes running
-    into each real half-integer along the quadrant diagonal (they feed the
-    pole-strength extraction), far-field clusters for the asymptotic beta
-    path, and clusters at +/- every eigenvalue for the eigenvalue beta path.
+    Log-spaced spokes running into each real half-integer along the
+    quadrant diagonal (they feed the pole-strength extraction), far-field
+    clusters for the asymptotic beta path, and clusters at +/- every
+    eigenvalue for the eigenvalue beta path.  A raster over the
+    first-quadrant rectangle comes first, but only when ``grid_step`` is
+    set: the inverse needs none of it.
     """
     pts: list = []
-    axis = np.arange(0.1, config.grid_max + 1e-12, config.grid_step)
-    for re in axis:
-        for im in axis:
-            pts.append(complex(re, im))
+    if config.grid_step is not None:
+        axis = np.arange(0.1, config.grid_max + 1e-12, config.grid_step)
+        pts += [complex(re, im) for re in axis for im in axis]
     spoke = np.logspace(-8, -1, 40)
     for n in range(1, config.n_max + 1):
         for d in spoke:
@@ -382,16 +386,11 @@ def cmd_eval(config: RunConfig, lam: complex, x_range, which: str) -> int:
     if parent:
         os.makedirs(parent, exist_ok=True)
     lines = ["x,re,im,d_re,d_im,ode_residual_abs"]
-    branch = which[2]
     for x in x_range:
-        if which.startswith("f1"):
-            s = eval_f1(table, lam, float(x), branch)
-        else:
-            s = eval_f2(table, potential.beta, lam, float(x), branch)
-        res = abs(ode_residual(potential, table, lam, float(x), which))
+        s, res = eval_with_residual(potential, table, lam, float(x), which)
         lines.append(
             f"{float(x)!r},{s.value.real!r},{s.value.imag!r},"
-            f"{s.derivative.real!r},{s.derivative.imag!r},{res!r}"
+            f"{s.derivative.real!r},{s.derivative.imag!r},{abs(res)!r}"
         )
     tmp = f"{out}.tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
@@ -426,7 +425,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=text)
         common(p)
-        p.add_argument("--grid-step", type=float, default=0.05, help="raster step of the sample grid")
+        p.add_argument("--grid-step", type=float, help="raster step of an optional first-quadrant sample grid")
         p.add_argument("--grid-max", type=float, default=6.0, help="raster extent of the sample grid")
 
     p = sub.add_parser("spectrum", help="spectrum report only")
@@ -435,7 +434,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("inverse", help="reconstruct (beta, q) from spectral data")
     common(p, needs_input=False)
     p.add_argument("input", nargs="?", help="spectral-data JSON file")
-    p.add_argument("--grid-step", type=float, default=0.05)
+    p.add_argument("--grid-step", type=float)
     p.add_argument("--grid-max", type=float, default=6.0)
     p.add_argument("--self-test", help="potential file for an in-process forward+inverse round trip")
 
@@ -462,13 +461,18 @@ def _config_from_args(args) -> RunConfig:
         tol=args.tol,
         out=args.out,
         seed=args.seed,
-        grid_step=getattr(args, "grid_step", 0.05),
+        grid_step=getattr(args, "grid_step", None),
         grid_max=getattr(args, "grid_max", 6.0),
         self_test=getattr(args, "self_test", None),
     )
 
 
 def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in range(len(argv) - 1, 0, -1):
+        # argparse reads a value such as '-6:-1:5' as a flag unless attached
+        if argv[i - 1] in ("--x-range", "--lambda") and re.match(r"-[\d.ij]", argv[i]):
+            argv[i - 1 : i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     args = _build_parser().parse_args(argv)
     try:
         config = _config_from_args(args)

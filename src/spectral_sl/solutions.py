@@ -177,6 +177,19 @@ def eval_fn_limit(table: CoefficientTable, n: int, x, sign: str = "+") -> comple
     return complex(sums[n - 1]) * cmath.exp(-0.5j * n * complex(x))
 
 
+def eval_with_residual(potential: FourierPotential, table: CoefficientTable, lam: complex,
+                       x: float, which: str, pole_tol: float = POLE_TOL) -> tuple:
+    """One branch's sample at (x, lam) and its ODE residual, from a single
+    series evaluation; see `ode_residual`."""
+    lam = complex(lam)
+    k, scale = _exponent(which, lam, potential.beta)
+    f, df, f2d, dist = _series(table, k, x, scale, pole_tol, second=True)
+    rho = 1.0 if x >= 0 else -(potential.beta**2)
+    residual = complex(-f2d[0] + potential.at(x) * f[0] - lam * lam * rho * f[0])
+    sample = SolutionSample(complex(f[0]), complex(df[0]), table.tail_estimate / max(float(dist[0]), _TINY))
+    return sample, residual
+
+
 def ode_residual(
     potential: FourierPotential,
     table: CoefficientTable,
@@ -191,11 +204,7 @@ def ode_residual(
     series.  ``which`` is one of 'f1+', 'f1-', 'f2+', 'f2-'; rho(x) is 1 for
     x >= 0 and -beta^2 otherwise (evaluate away from the jump at 0).
     """
-    lam = complex(lam)
-    k, scale = _exponent(which, lam, potential.beta)
-    f, _df, f2d, _dist = _series(table, k, x, scale, pole_tol, second=True)
-    rho = 1.0 if x >= 0 else -(potential.beta**2)
-    return complex(-f2d[0] + potential.at(x) * f[0] - lam * lam * rho * f[0])
+    return eval_with_residual(potential, table, lam, x, which, pole_tol)[1]
 
 
 def _continued(table: CoefficientTable, beta: float, lam: complex, x: float,

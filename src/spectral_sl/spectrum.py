@@ -4,7 +4,8 @@ The spectral plane splits into the four open quadrants S_k = {k pi/2 <
 arg lam < (k+1) pi/2}.  Eigenvalues are the zeros of one connection
 coefficient per quadrant (c12(lam), c11(-lam), c12(-lam), c11(lam) for
 k = 0, 1, 2, 3); they are located by winding-number counting over
-rectangles with adaptive subdivision and polished by Newton iteration.
+rectangles with adaptive subdivision and polished by Newton iteration,
+started from the contour's first moment once a small box holds one zero.
 The two axes carry the continuous spectrum, with distinguished points at
 n/2 and i n/(2 beta).
 """
@@ -136,23 +137,26 @@ def _winding(fn: Callable, box, per_edge: int, max_doublings: int = 3):
     return None
 
 
-def _newton_polish(fn: Callable, z0: complex, tol: float) -> complex:
-    """Newton iteration with a high-order central-difference derivative."""
+def _newton_polish(fn: Callable, z0: complex, tol: float) -> tuple:
+    """Newton iteration with a high-order central-difference derivative.
+
+    Returns the last iterate and whether the step criterion was met.
+    """
     z = complex(z0)
     for _ in range(60):
         h = 1e-6 * max(1.0, abs(z))
         pts = np.array([z, z + 2 * h, z + h, z - h, z - 2 * h])
         f0, f2p, f1p, f1m, f2m = np.asarray(fn(pts), dtype=complex)
         if abs(f0) == 0.0:
-            return z
+            return z, True
         d = (-f2p + 8.0 * f1p - 8.0 * f1m + f2m) / (12.0 * h)
         if d == 0.0:
             break
         step = -f0 / d
         z += step
         if abs(step) <= tol * (1.0 + abs(z)):
-            break
-    return z
+            return z, True
+    return z, False
 
 
 def find_zeros(
@@ -167,14 +171,23 @@ def find_zeros(
 
     Recursive winding-number counting: boxes with zero winding are dropped,
     boxes small enough are handed to Newton polishing, everything else is
-    quartered.  ``fn`` must accept complex numpy arrays.
+    quartered.  A box of winding 1 at depth >= 3 (sides about 1/8 of the
+    root box's) first goes to Newton from the first moment of its boundary
+    samples (Delves & Lyness 1967); the root is kept if Newton converged
+    strictly inside the box.  ``fn`` must accept complex numpy arrays.
     """
     rng = np.random.default_rng(seed)
+    last = []  # the boundary samples of the latest winding count
+
+    def sampled(z):
+        vals = np.asarray(fn(z), dtype=complex)
+        last[:] = [z, vals]
+        return vals
 
     def recurse(b, depth):
         if depth > max_depth:
             raise BudgetExceeded(f"subdivision exceeded depth {max_depth}")
-        w = _winding(fn, b, per_edge)
+        w = _winding(sampled, b, per_edge)
         if w is None:
             raise ContourThroughZero(f"phase too coarse on {b}")
         if w == 0:
@@ -185,7 +198,15 @@ def find_zeros(
         size = max(re_hi - re_lo, im_hi - im_lo)
         if size <= 64.0 * max(tol, 1e-12) or size <= 1e-2:
             center = complex(0.5 * (re_lo + re_hi), 0.5 * (im_lo + im_hi))
-            return [(_newton_polish(fn, center, tol), w)]
+            return [(_newton_polish(fn, center, tol)[0], w)]
+        if w == 1 and depth >= 3:
+            # the first moment (1/2 pi i) ∮ z f'/f dz, the zero itself, by the
+            # midpoint rule on the increments log|f_{j+1}/f_j| + i dphi_j
+            pts, vals = last
+            z0 = np.sum((pts + np.roll(pts, -1)) * np.log(np.roll(vals, -1) / vals)) / (4j * np.pi)
+            z, converged = _newton_polish(fn, complex(z0), tol)
+            if converged and re_lo < z.real < re_hi and im_lo < z.imag < im_hi:
+                return [(z, 1)]
         for attempt in range(3):
             # split lines are jittered so a zero sitting exactly on the
             # midline cannot poison all four children

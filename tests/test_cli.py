@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from spectral_sl import SchemaError, sampled_provider
+from spectral_sl import SchemaError, build_table, eval_f1, eval_f2, sampled_provider
 from spectral_sl.cli import (
     load_potential,
     load_reconstruction,
@@ -14,8 +14,11 @@ from spectral_sl.cli import (
     spectrum_report_from_dict,
     spectrum_report_to_dict,
 )
-from spectral_sl.inverse import recover_diagonal
+from spectral_sl.inverse import FALLBACK_RADII, recover_diagonal
+from spectral_sl.solutions import ode_residual
 from spectral_sl.spectrum import SpectrumReport, EigenvalueHit, Singularity
+
+from .conftest import EIG_POTENTIAL
 
 
 def write_potential(path, beta, q):
@@ -85,6 +88,42 @@ class TestForwardCommand:
         assert main(args + ["--out", str(out2)]) == 0
         for name in ("spectral-data.json", "spectrum-report.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+class TestExportRaster:
+    @pytest.fixture(scope="class")
+    def exports(self, tmp_path_factory):
+        # EIG_POTENTIAL with the default n_max = 6, without and with a raster
+        tmp = tmp_path_factory.mktemp("raster")
+        pot = tmp / "p.json"
+        write_potential(pot, EIG_POTENTIAL.beta, EIG_POTENTIAL.q)
+        for name, extra in (("plain", []), ("raster", ["--grid-step", "0.5"])):
+            assert main(["forward", str(pot), "--out", str(tmp / name)] + extra) == 0
+        return tmp
+
+    def test_default_export_has_no_raster(self, exports):
+        plain = load_spectral_data(exports / "plain" / "spectral-data.json")
+        n_eig = len(plain["eigenvalues"])
+        assert n_eig == 6
+        # spokes into n/2, far-field clusters, clusters at +/- each eigenvalue
+        assert len(plain["samples"]) == 40 * 6 + 6 * len(FALLBACK_RADII) + 12 * n_eig
+        raster = load_spectral_data(exports / "raster" / "spectral-data.json")
+        side = len(np.arange(0.1, 6.0 + 1e-12, 0.5))
+        tail = raster["samples"][side * side:]
+        assert [(s["re"], s["im"]) for s in tail] == [(s["re"], s["im"]) for s in plain["samples"]]
+        # values agree to rounding: the batch size changes the summation order
+        for key in ("c11", "c12"):
+            a = np.array([complex(*s[key]) for s in tail])
+            b = np.array([complex(*s[key]) for s in plain["samples"]])
+            assert np.all(np.abs(a - b) <= 1e-12 * np.maximum(1.0, np.abs(b)))
+
+    def test_inverse_of_default_export(self, exports, tmp_path):
+        out = tmp_path / "rec.json"
+        assert main(["inverse", str(exports / "plain" / "spectral-data.json"), "--out", str(out)]) == 0
+        rec = load_reconstruction(out)
+        assert abs(rec["beta"] - EIG_POTENTIAL.beta) < 1e-6
+        for n, pair in enumerate(rec["q"], start=1):
+            assert abs(complex(*pair) - EIG_POTENTIAL.harmonic(n)) < 1e-6 * max(1.0, abs(EIG_POTENTIAL.harmonic(n)))
 
 
 class TestInverseCommand:
@@ -162,6 +201,53 @@ class TestEvalCommand:
         ]) == 0
         for line in csv.read_text().splitlines()[1:]:
             assert float(line.split(",")[-1]) < 1e-8
+
+    @pytest.mark.parametrize("flag,value", [("--x-range", "-6:-1:5"), ("--lambda", "-1+2i")])
+    def test_negative_value_after_a_space(self, tmp_path, flag, value):
+        # '-6:-1:5' looks like a flag to argparse; it must parse as the value
+        pot = tmp_path / "p.json"
+        write_potential(pot, 1.3, [0.5 - 0.2j])
+        args = {"--x-range": "-6:-1:5", "--lambda": "1+1i"}
+        csvs = []
+        for attach in (False, True):
+            csv = tmp_path / f"c{int(attach)}.csv"
+            argv = ["eval", str(pot), "--solution", "f2-", "--out", str(csv)]
+            for f, v in {**args, flag: value}.items():
+                argv += [f"{f}={v}"] if attach else [f, v]
+            assert main(argv) == 0
+            csvs.append(csv.read_bytes())
+        assert csvs[0] == csvs[1]
+        x = [float(line.split(",")[0]) for line in csvs[0].decode().splitlines()[1:]]
+        assert x == list(np.linspace(-6.0, -1.0, 5))
+
+    @pytest.mark.parametrize("which", ["f1+", "f1-", "f2+", "f2-"])
+    def test_rows_match_the_separate_evaluators(self, tmp_path, which):
+        # one series evaluation per point gives the same bits as eval_f1 /
+        # eval_f2 followed by ode_residual
+        p = EIG_POTENTIAL
+        pot = tmp_path / "p.json"
+        write_potential(pot, p.beta, p.q)
+        csv = tmp_path / "c.csv"
+        lam = 0.9 + 0.4j
+        lo, hi = (0.0, 3.0) if which[1] == "1" else (-3.0, -0.1)
+        assert main([
+            "eval", str(pot), "--lambda", "0.9+0.4i", f"--x-range={lo}:{hi}:7",
+            "--solution", which, "--out", str(csv),
+        ]) == 0
+        table = build_table(p, 30)
+        expect = []
+        for x in np.linspace(lo, hi, 7):
+            x = float(x)
+            if which[1] == "1":
+                s = eval_f1(table, lam, x, which[2])
+            else:
+                s = eval_f2(table, p.beta, lam, x, which[2])
+            res = abs(ode_residual(p, table, lam, x, which))
+            expect.append(
+                f"{x!r},{s.value.real!r},{s.value.imag!r},"
+                f"{s.derivative.real!r},{s.derivative.imag!r},{res!r}"
+            )
+        assert csv.read_text().splitlines()[1:] == expect
 
     def test_bad_lambda_exits_one(self, tmp_path):
         pot = tmp_path / "p.json"

@@ -22,6 +22,7 @@ from spectral_sl import (
     scan_spectrum,
     spectral_singularities,
 )
+import spectral_sl.spectrum as spectrum_module
 from spectral_sl.spectrum import _global_f1, _global_f2, _winding, default_sector_box
 
 from .conftest import EIG_LAMBDA_S0, EIG_POTENTIAL, centred_limit, random_potential
@@ -96,6 +97,43 @@ class TestFindZeros:
         with pytest.raises(BudgetExceeded):
             find_zeros(fn, (0.1, 9.0, 0.1, 9.0), max_depth=2)
 
+    def test_close_pair_in_one_handoff_box(self):
+        # both zeros lie in the depth-3 box [0.75, 1]^2 of the root box
+        # [0, 2]^2, 1e-3 apart across its midline: that box winds twice and
+        # is quartered, and each child winds once, with its partner zero
+        # 5e-4 outside its edge
+        a, b = 0.8745 + 0.9j, 0.8755 + 0.9j
+        fn = lambda z: (np.asarray(z, dtype=complex) - a) * (np.asarray(z, dtype=complex) - b)
+        zeros = find_zeros(fn, (0.0, 2.0, 0.0, 2.0), tol=1e-10)
+        assert len(zeros) == 2
+        (z1, m1), (z2, m2) = zeros
+        assert m1 == m2 == 1
+        assert abs(z1 - a) < 1e-9 and abs(z2 - b) < 1e-9
+
+    @pytest.mark.parametrize(
+        "first_result",
+        [(50.0 + 50.0j, True), (1.0 + 1.0j, False)],
+        ids=["converged-outside", "inside-not-converged"],
+    )
+    def test_rejected_handoff_falls_back_to_quartering(self, monkeypatch, first_result):
+        # the first handoff is refused (Newton left the box, or did not
+        # converge), so its box is quartered and a child hands off again
+        newton = spectrum_module._newton_polish
+        starts = []
+
+        def polish(fn, z0, tol):
+            starts.append(z0)
+            return first_result if len(starts) == 1 else newton(fn, z0, tol)
+
+        monkeypatch.setattr(spectrum_module, "_newton_polish", polish)
+        fn = lambda z: np.asarray(z, dtype=complex) - (1 + 1j)
+        zeros = find_zeros(fn, (0.1, 3.0, 0.1, 3.0), tol=1e-10)
+        assert len(starts) >= 2
+        assert len(zeros) == 1
+        z, mult = zeros[0]
+        assert abs(z - (1 + 1j)) < 1e-9
+        assert mult == 1
+
 
 class TestEigenvalues:
     def test_free_potential_has_none(self, zero_table):
@@ -119,6 +157,28 @@ class TestEigenvalues:
         # the two-sided matching degenerates there: c11 c22 = 1
         cc = connection_coefficients(table, EIG_POTENTIAL.beta, hit.lam)
         assert abs(cc.c11 * cc.c22 - 1.0) < 1e-8
+
+    def test_search_evaluation_budget(self, monkeypatch):
+        # every coefficient evaluation of the search goes through the
+        # coefficient_evaluators closures; quartering every box down to 1e-2
+        # took 450,670 of them on this potential
+        evaluators = spectrum_module.coefficient_evaluators
+        points = [0]
+
+        def counting(table, beta):
+            def counted(c):
+                def wrapped(lam):
+                    points[0] += np.size(lam)
+                    return c(lam)
+
+                return wrapped
+
+            return tuple(counted(c) for c in evaluators(table, beta))
+
+        monkeypatch.setattr(spectrum_module, "coefficient_evaluators", counting)
+        report = scan_spectrum(build_table(EIG_POTENTIAL, 30), EIG_POTENTIAL.beta)
+        assert points[0] <= 130_000
+        assert min(abs(h.lam - EIG_LAMBDA_S0) for h in report.eigenvalues) < 1e-12
 
     def test_winding_count_matches_report(self):
         table = build_table(EIG_POTENTIAL, 30)
