@@ -260,9 +260,10 @@ def sample_points(config: RunConfig, eigenvalues) -> np.ndarray:
     Log-spaced spokes running into each real half-integer along the
     quadrant diagonal (they feed the pole-strength extraction), far-field
     clusters for the asymptotic beta path, and clusters at +/- every
-    eigenvalue for the eigenvalue beta path.  A raster over the
-    first-quadrant rectangle comes first, but only when ``grid_step`` is
-    set: the inverse needs none of it.
+    sector 0 and 3 eigenvalue for the eigenvalue beta path; these cover
+    each pair lam, -lam once.  A raster over the first-quadrant rectangle
+    comes first, but only when ``grid_step`` is set: the inverse needs
+    none of it.
     """
     pts: list = []
     if config.grid_step is not None:
@@ -276,7 +277,9 @@ def sample_points(config: RunConfig, eigenvalues) -> np.ndarray:
         center = r * FALLBACK_DIRECTION
         for off in CLUSTER_OFFSETS:
             pts.append(center + off)
-    for lam, _sector, _mult in eigenvalues:
+    for lam, sector, _mult in eigenvalues:
+        if sector not in (0, 3):
+            continue  # the pair's clusters come with its sector 0 or 3 member
         for center in (lam, -lam):
             for off in CLUSTER_OFFSETS:
                 pts.append(center + off)
@@ -434,8 +437,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("inverse", help="reconstruct (beta, q) from spectral data")
     common(p, needs_input=False)
     p.add_argument("input", nargs="?", help="spectral-data JSON file")
-    p.add_argument("--grid-step", type=float)
-    p.add_argument("--grid-max", type=float, default=6.0)
     p.add_argument("--self-test", help="potential file for an in-process forward+inverse round trip")
 
     p = sub.add_parser("eval", help="sample one solution on an x grid as CSV")

@@ -3,17 +3,18 @@
 The spectral plane splits into the four open quadrants S_k = {k pi/2 <
 arg lam < (k+1) pi/2}.  Eigenvalues are the zeros of one connection
 coefficient per quadrant (c12(lam), c11(-lam), c12(-lam), c11(lam) for
-k = 0, 1, 2, 3); they are located by winding-number counting over
-rectangles with adaptive subdivision and polished by Newton iteration,
-started from the contour's first moment once a small box holds one zero.
-The two axes carry the continuous spectrum, with distinguished points at
-n/2 and i n/(2 beta).
+k = 0, 1, 2, 3).  The operator depends on lam only through lam^2, so the
+eigenvalues come in pairs lam, -lam: quadrant 2's function at -lam is
+quadrant 0's at lam, and quadrant 1's at -lam is quadrant 3's at lam.  The
+full scan therefore searches quadrants 0 and 3 only, by winding-number
+counting over rectangles with adaptive subdivision and Newton polishing
+started from the contour's first moment once a small box holds one zero,
+and adds the mirror of every hit.  The two axes carry the continuous
+spectrum, with distinguished points at n/2 and i n/(2 beta).
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -228,7 +229,6 @@ def find_zeros(
             except ContourThroughZero:
                 if attempt == 2:
                     raise
-        return []
 
     try:
         raw = recurse(tuple(float(v) for v in box), 0)
@@ -260,8 +260,8 @@ def sector_coefficient_fn(table: CoefficientTable, beta: float, k: int) -> Calla
     }[k]
 
 
-def default_sector_box(k: int, limit: float = DEFAULT_BOX_LIMIT, margin: float = DEFAULT_MARGIN):
-    lo, hi = margin, limit
+def default_sector_box(k: int):
+    lo, hi = DEFAULT_MARGIN, DEFAULT_BOX_LIMIT
     return {
         0: (lo, hi, lo, hi),
         1: (-hi, -lo, lo, hi),
@@ -297,40 +297,25 @@ def find_eigenvalues(
     ]
 
 
-def _max_workers() -> int:
-    try:
-        return max(1, int(os.environ.get("SPECTRAL_SL_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def scan_spectrum(
     table: CoefficientTable,
     beta: float,
     n_max: int = 6,
-    box_limit: float = DEFAULT_BOX_LIMIT,
-    margin: float = DEFAULT_MARGIN,
     tol: float = 1e-9,
     seed: int = 0,
 ) -> SpectrumReport:
-    """Search all four quadrants and list the singular-point candidates.
+    """Search half the spectral plane and list the singular-point candidates.
 
-    Quadrant searches are independent and may run on worker threads; the
-    merged result is sorted, so the report does not depend on scheduling.
+    Quadrants 0 and 3 are searched in their default boxes; each hit lam
+    also yields -lam in quadrant 2 or 1 with the same multiplicity and
+    coefficient value, since that quadrant's function at -lam is the
+    searched one at lam.  The merged list is sorted by (Re, Im).
     """
-
-    def one(k):
-        return find_eigenvalues(
-            table, beta, Sector(k), default_sector_box(k, box_limit, margin), tol, seed
-        )
-
-    workers = _max_workers()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=min(4, workers)) as pool:
-            per_sector = list(pool.map(one, range(4)))
-    else:
-        per_sector = [one(k) for k in range(4)]
-    eigenvalues = [hit for hits in per_sector for hit in hits]
+    eigenvalues = []
+    for k in (0, 3):
+        for hit in find_eigenvalues(table, beta, Sector(k), tol=tol, seed=seed):
+            mirror = EigenvalueHit(-hit.lam, (k + 2) % 4, hit.multiplicity, hit.coefficient_value)
+            eigenvalues += [hit, mirror]
     eigenvalues.sort(key=lambda h: (h.lam.real, h.lam.imag))
     return SpectrumReport(
         eigenvalues=eigenvalues,

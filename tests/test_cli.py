@@ -105,8 +105,9 @@ class TestExportRaster:
         plain = load_spectral_data(exports / "plain" / "spectral-data.json")
         n_eig = len(plain["eigenvalues"])
         assert n_eig == 6
-        # spokes into n/2, far-field clusters, clusters at +/- each eigenvalue
-        assert len(plain["samples"]) == 40 * 6 + 6 * len(FALLBACK_RADII) + 12 * n_eig
+        # spokes into n/2, far-field clusters, clusters at +/- one member of
+        # each eigenvalue pair lam, -lam
+        assert len(plain["samples"]) == 40 * 6 + 6 * len(FALLBACK_RADII) + 6 * n_eig
         raster = load_spectral_data(exports / "raster" / "spectral-data.json")
         side = len(np.arange(0.1, 6.0 + 1e-12, 0.5))
         tail = raster["samples"][side * side:]
@@ -152,7 +153,7 @@ class TestInverseCommand:
     def test_self_test_flag(self, tmp_path, capsys):
         pot = tmp_path / "p.json"
         write_potential(pot, 1.0, [1.0])
-        assert main(["inverse", "--self-test", str(pot), "--nmax", "2", "--grid-step", "0.3"]) == 0
+        assert main(["inverse", "--self-test", str(pot), "--nmax", "2"]) == 0
         out = capsys.readouterr().out
         assert "self-test max relative error" in out
         assert float(out.strip().rsplit(" ", 1)[1]) < 1e-4

@@ -23,7 +23,13 @@ from spectral_sl import (
     spectral_singularities,
 )
 import spectral_sl.spectrum as spectrum_module
-from spectral_sl.spectrum import _global_f1, _global_f2, _winding, default_sector_box
+from spectral_sl.spectrum import (
+    _global_f1,
+    _global_f2,
+    _winding,
+    default_sector_box,
+    sector_coefficient_fn,
+)
 
 from .conftest import EIG_LAMBDA_S0, EIG_POTENTIAL, centred_limit, random_potential
 
@@ -161,7 +167,8 @@ class TestEigenvalues:
     def test_search_evaluation_budget(self, monkeypatch):
         # every coefficient evaluation of the search goes through the
         # coefficient_evaluators closures; quartering every box down to 1e-2
-        # took 450,670 of them on this potential
+        # took 450,670 of them on this potential, and searching all four
+        # quadrants with the moment handoff 106,562
         evaluators = spectrum_module.coefficient_evaluators
         points = [0]
 
@@ -177,7 +184,7 @@ class TestEigenvalues:
 
         monkeypatch.setattr(spectrum_module, "coefficient_evaluators", counting)
         report = scan_spectrum(build_table(EIG_POTENTIAL, 30), EIG_POTENTIAL.beta)
-        assert points[0] <= 130_000
+        assert points[0] <= 60_000
         assert min(abs(h.lam - EIG_LAMBDA_S0) for h in report.eigenvalues) < 1e-12
 
     def test_winding_count_matches_report(self):
@@ -210,21 +217,32 @@ class TestEigenvalues:
 
     def test_full_scan_sector_symmetry(self):
         # zeros of c12(-lam) in the third quadrant mirror the first-quadrant
-        # zeros of c12
-        report = scan_spectrum(build_table(EIG_POTENTIAL, 30), EIG_POTENTIAL.beta)
-        s0 = [h.lam for h in report.eigenvalues if h.sector == 0]
-        s2 = [h.lam for h in report.eigenvalues if h.sector == 2]
-        assert len(s0) == len(s2) == 1
-        assert abs(s0[0] + s2[0]) < 1e-8
-        assert len(report.singularities) == 24  # n_max=6, both lattices
-
-    def test_threaded_scan_matches_serial(self, monkeypatch):
-        table = build_table(EIG_POTENTIAL, 30)
-        serial = scan_spectrum(table, EIG_POTENTIAL.beta)
-        monkeypatch.setenv("SPECTRAL_SL_THREADS", "4")
-        threaded = scan_spectrum(table, EIG_POTENTIAL.beta)
-        assert [h.lam for h in serial.eigenvalues] == [h.lam for h in threaded.eigenvalues]
-        assert [h.sector for h in serial.eigenvalues] == [h.sector for h in threaded.eigenvalues]
+        # zeros of c12, and zeros of c11(-lam) in the second quadrant mirror
+        # the fourth-quadrant zeros of c11; both pairs are populated for the
+        # one-harmonic EIG_POTENTIAL (1, 2, 1, 2 per quadrant) and for the
+        # three-harmonic potential below (1, 4, 1, 4)
+        three = FourierPotential(beta=0.8, q=(2.0 + 4.0j, 1.0j, -1.0))
+        for potential in (EIG_POTENTIAL, three):
+            table = build_table(potential, 30)
+            report = scan_spectrum(table, potential.beta)
+            for k, mirror in ((0, 2), (3, 1)):
+                hits = sorted(
+                    (h for h in report.eigenvalues if h.sector == k),
+                    key=lambda h: (h.lam.real, h.lam.imag),
+                )
+                mirrors = sorted(
+                    (h for h in report.eigenvalues if h.sector == mirror),
+                    key=lambda h: (-h.lam.real, -h.lam.imag),
+                )
+                assert hits and len(hits) == len(mirrors)
+                for h, m in zip(hits, mirrors):
+                    assert m.lam == -h.lam
+                    assert m.multiplicity == h.multiplicity
+                    assert m.coefficient_value == h.coefficient_value
+                    # the mirror quadrant's own function at -lam gives that value
+                    fn = sector_coefficient_fn(table, potential.beta, mirror)
+                    assert complex(fn(m.lam)) == m.coefficient_value
+            assert len(report.singularities) == 24  # n_max=6, both lattices
 
 
 class TestAxes:
