@@ -49,7 +49,7 @@ from .inverse import (
     reconstruct,
     sampled_provider,
 )
-from .scattering import coefficient_evaluators
+from .scattering import coefficient_evaluators, pole_circle
 from .solutions import eval_with_residual
 from .spectrum import SpectrumReport, EigenvalueHit, Singularity, scan_spectrum
 
@@ -64,6 +64,9 @@ CLUSTER_OFFSETS = (
     0.0 - 0.02j,
     0.015 + 0.015j,
 )
+
+#: Largest relative error of beta and q that `inverse --self-test` passes.
+SELF_TEST_TOL = 1e-6
 
 
 @dataclass
@@ -257,22 +260,19 @@ def load_reconstruction(path) -> dict:
 def sample_points(config: RunConfig, eigenvalues) -> np.ndarray:
     """Deterministic evaluation grid for spectral-data exports.
 
-    Log-spaced spokes running into each real half-integer along the
-    quadrant diagonal (they feed the pole-strength extraction), far-field
-    clusters for the asymptotic beta path, and clusters at +/- every
-    sector 0 and 3 eigenvalue for the eigenvalue beta path; these cover
-    each pair lam, -lam once.  A raster over the first-quadrant rectangle
-    comes first, but only when ``grid_step`` is set: the inverse needs
-    none of it.
+    The pole-strength circle `pole_circle(n)` around each real half-integer
+    n/2 (the inverse reads these points exactly), far-field clusters for
+    the asymptotic beta path, and clusters at +/- every sector 0 and 3
+    eigenvalue for the eigenvalue beta path; these cover each pair
+    lam, -lam once.  A raster over the first-quadrant rectangle comes
+    first, but only when ``grid_step`` is set: the inverse needs none of it.
     """
     pts: list = []
     if config.grid_step is not None:
         axis = np.arange(0.1, config.grid_max + 1e-12, config.grid_step)
         pts += [complex(re, im) for re in axis for im in axis]
-    spoke = np.logspace(-8, -1, 40)
     for n in range(1, config.n_max + 1):
-        for d in spoke:
-            pts.append(n / 2.0 + d * FALLBACK_DIRECTION)
+        pts += list(pole_circle(n))
     for r in FALLBACK_RADII:
         center = r * FALLBACK_DIRECTION
         for off in CLUSTER_OFFSETS:
@@ -345,7 +345,11 @@ def cmd_inverse(config: RunConfig) -> int:
             truth = potential.harmonic(n)
             got = result.q[n - 1]
             errs.append(abs(got - truth) / max(1.0, abs(truth)))
-        print(f"self-test max relative error: {max(errs):.3e}")
+        worst = float(np.max(errs))  # NaN propagates and fails the test
+        print(f"self-test max relative error: {worst:.3e}")
+        if not worst <= SELF_TEST_TOL:
+            print(f"self-test error above {SELF_TEST_TOL:.0e}", file=sys.stderr)
+            return 2
         return 0
     provider = sampled_provider(config.inputs[0])
     meta_n = provider.meta.get("n_max")

@@ -85,10 +85,11 @@ class AnalyticProvider:
 class SampledProvider:
     """Spectral data interpolated from point samples.
 
-    Evaluation fits a local [1/1] rational interpolant through the nearest
-    samples (at least PADE_MIN_SAMPLES within PADE_RADIUS of the query); a
-    degree-one denominator reproduces the simple poles of c11 near the half
-    integers, which plain polynomial interpolation cannot.
+    A query within 1e-13 of a sample returns it; elsewhere evaluation fits
+    a local [1/1] rational interpolant through the nearest samples (at
+    least PADE_MIN_SAMPLES within PADE_RADIUS of the query); a degree-one
+    denominator reproduces the simple poles of c11 near the half integers,
+    which plain polynomial interpolation cannot.
     """
 
     def __init__(self, points: Sequence[complex], c11: Sequence[complex],
@@ -118,40 +119,38 @@ class SampledProvider:
             data["meta"],
         )
 
-    def _interpolate(self, values: np.ndarray, lam: complex) -> complex:
+    def _interpolate(self, values: np.ndarray, lam):
+        """values at lam, a scalar or an array, by the rules of the class."""
         if self._points.size == 0:
             raise InsufficientSamples("no samples available")
-        lam = complex(lam)
-        dist = np.abs(self._points - lam)
-        inside = np.nonzero(dist <= PADE_RADIUS)[0]
-        if inside.size < PADE_MIN_SAMPLES:
-            raise InsufficientSamples(
-                f"{inside.size} samples within {PADE_RADIUS} of {lam}, "
-                f"need {PADE_MIN_SAMPLES}"
-            )
-        nearest = inside[np.argsort(dist[inside])][:PADE_MAX_SAMPLES]
-        d = self._points[nearest] - lam
-        f = values[nearest]
-        exact = np.abs(d) < 1e-13
-        if np.any(exact):
-            return complex(f[np.argmax(exact)])
-        scale = np.max(np.abs(d))
-        ds = d / scale
-        # f ~ (a + b d)/(1 + c d): linearise to a + b d - c d f = f and
-        # normalise rows so huge near-pole samples do not swamp the fit
-        rows = np.stack([np.ones_like(ds), ds, -ds * f], axis=1)
-        w = 1.0 / (1.0 + np.abs(f))
-        sol, *_ = np.linalg.lstsq(rows * w[:, None], f * w, rcond=None)
-        return complex(sol[0])
+        queries = np.asarray(lam, dtype=complex).reshape(-1)
+        dist = np.abs(self._points[None, :] - queries[:, None])
+        counts = np.count_nonzero(dist <= PADE_RADIUS, axis=1)
+        for z, count in zip(queries, counts):
+            if count < PADE_MIN_SAMPLES:
+                raise InsufficientSamples(
+                    f"{count} samples within {PADE_RADIUS} of {complex(z)}, "
+                    f"need {PADE_MIN_SAMPLES}"
+                )
+        out = values[np.argmin(dist, axis=1)]
+        for i in np.nonzero(np.min(dist, axis=1) >= 1e-13)[0]:
+            inside = np.nonzero(dist[i] <= PADE_RADIUS)[0]
+            nearest = inside[np.argsort(dist[i, inside])][:PADE_MAX_SAMPLES]
+            d = self._points[nearest] - queries[i]
+            f = values[nearest]
+            ds = d / np.max(np.abs(d))
+            # f ~ (a + b d)/(1 + c d): linearise to a + b d - c d f = f and
+            # normalise rows so huge near-pole samples do not swamp the fit
+            rows = np.stack([np.ones_like(ds), ds, -ds * f], axis=1)
+            w = 1.0 / (1.0 + np.abs(f))
+            sol, *_ = np.linalg.lstsq(rows * w[:, None], f * w, rcond=None)
+            out[i] = sol[0]
+        return out.reshape(np.shape(lam)) if np.ndim(lam) else complex(out[0])
 
     def eval_c11(self, lam):
-        if np.ndim(lam):
-            return np.array([self._interpolate(self._c11, z) for z in np.asarray(lam)])
         return self._interpolate(self._c11, lam)
 
     def eval_c12(self, lam):
-        if np.ndim(lam):
-            return np.array([self._interpolate(self._c12, z) for z in np.asarray(lam)])
         return self._interpolate(self._c12, lam)
 
 
@@ -165,8 +164,10 @@ def sampled_provider(path) -> SampledProvider:
 def recover_diagonal(provider, n_max: int, return_flags: bool = False):
     """Diagonal entries V[n, n] for n = 1 ... n_max from pole strengths.
 
-    A harmonic whose extrapolation does not stabilise is reported as zero
-    and flagged; recovery of the remaining harmonics continues.
+    Each is read on `scattering.pole_circle(n)`, which a spectral-data file
+    samples exactly, so a sampled provider answers without interpolating.
+    A harmonic whose circle estimate is rejected is reported as zero and
+    flagged; recovery of the remaining harmonics continues.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")

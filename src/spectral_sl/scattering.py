@@ -159,52 +159,44 @@ def richardson_limit(values: Sequence[complex], step_ratio: float) -> complex:
     return level[0]
 
 
-#: Sampling offsets for pole-strength extraction: a diagonal ray into the
-#: first quadrant avoids both pole lattices.
-POLE_STRENGTH_EPS = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
-POLE_STRENGTH_DIRECTION = complex(np.exp(0.25j * np.pi))
+#: The circle each pole strength is read from: POLE_CIRCLE_POINTS points at
+#: radius POLE_CIRCLE_RADIUS around n/2.  Exports sample exactly these points.
+POLE_CIRCLE_RADIUS = 0.01
+POLE_CIRCLE_POINTS = 32
 
 
-def pole_strength(
-    c11_fn: Callable,
-    c12_fn: Callable,
-    n: int,
-    eps: Sequence[float] = POLE_STRENGTH_EPS,
-    direction: complex = POLE_STRENGTH_DIRECTION,
-    rel_tol: float = 1e-6,
-) -> complex:
-    """Diagonal table entry V[n, n] from the coefficient ratio near n/2.
+def pole_circle(n: int) -> np.ndarray:
+    """The equally spaced sample points of the pole-strength circle at n/2."""
+    theta = 2.0 * np.pi * np.arange(POLE_CIRCLE_POINTS) / POLE_CIRCLE_POINTS
+    return n / 2.0 + POLE_CIRCLE_RADIUS * np.exp(1j * theta)
 
-    Samples g(eps) = (n - 2 lam) c11(lam) / c12(lam) at lam = n/2 + eps * d
-    and Richardson-extrapolates eps -> 0.  The extrapolated ratio equals
-    -V[n, n]; the sign is fixed here so the returned value matches the
-    diagonal of tables built directly from a potential.
 
-    Raises ExtrapolationDivergence when the deepest two extrapolants
-    disagree, the signature of c12 vanishing at n/2 (an eigenvalue sitting
-    on the continuous spectrum).
+def pole_strength(c11_fn: Callable, c12_fn: Callable, n: int, rel_tol: float = 1e-6) -> complex:
+    """Diagonal table entry V[n, n] = -lim (n - 2 lam) c11/c12 at n/2.
+
+    That is twice the residue of c11/c12, read by the trapezoidal rule on
+    `pole_circle(n)` as 2 mean((lam - n/2) c11/c12); each function is called
+    once, on the array of circle points.  Raises ExtrapolationDivergence on
+    a non-finite sample, when c12 winds around a zero inside the circle (an
+    arg step >= pi/2 or a nonzero total turn), and when the mean over every
+    other point differs by more than rel_tol * max(1, |estimate|), as it
+    does for a zero of c12 just outside the circle.
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
-    ratios = [eps[i] / eps[i + 1] for i in range(len(eps) - 1)]
-    if len(set(round(r, 9) for r in ratios)) != 1:
-        raise ValueError("eps must be geometrically spaced")
-    step_ratio = ratios[0]
-    samples = []
-    for e in eps:
-        lam = n / 2.0 + e * direction
-        g = (n - 2.0 * lam) * complex(c11_fn(lam)) / complex(c12_fn(lam))
-        if not np.isfinite(g.real) or not np.isfinite(g.imag):
-            raise ExtrapolationDivergence(f"non-finite ratio sample at eps={e}")
-        samples.append(g)
-    full = richardson_limit(samples, step_ratio)
-    prev = richardson_limit(samples[:-1], step_ratio)
-    if abs(full - prev) > rel_tol * max(1.0, abs(full)):
-        raise ExtrapolationDivergence(
-            f"pole-strength estimates did not stabilise for n={n}: "
-            f"{prev} vs {full}"
-        )
-    return -full
+    lam = pole_circle(n)
+    c12 = np.asarray(c12_fn(lam), dtype=complex)
+    g = (lam - n / 2.0) * np.asarray(c11_fn(lam), dtype=complex) / c12
+    if not np.all(np.isfinite(g)):
+        raise ExtrapolationDivergence(f"non-finite ratio sample on the circle at n={n}")
+    steps = np.angle(np.roll(c12, -1) / c12)
+    if np.max(np.abs(steps)) >= np.pi / 2 or abs(np.sum(steps)) > np.pi:
+        raise ExtrapolationDivergence(f"c12 winds around a zero inside the circle at n={n}")
+    full = 2.0 * np.mean(g)
+    half = 2.0 * np.mean(g[::2])
+    if abs(full - half) > rel_tol * max(1.0, abs(full)):
+        raise ExtrapolationDivergence(f"pole strength at n={n} did not settle: {half} vs {full}")
+    return complex(full)
 
 
 def c11_pole_strength(table: CoefficientTable, beta: float, n: int) -> complex:

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from spectral_sl import FourierPotential, build_table
-from spectral_sl.scattering import POLE_STRENGTH_DIRECTION
 
 # hand-evaluated table for the single-harmonic potential q_1 = 1 at order 3,
 # worked column by column from the recurrences
@@ -47,6 +46,9 @@ def offlattice_lambda(rng, beta):
 # half-width of the centred mean in `centred_limit`: the error is O(step^2),
 # and the step keeps clear of the 1e-6 pole guard of the series evaluators
 CENTRED_STEP = 3e-6
+# direction of the two points: the quadrant diagonal clears both pole
+# lattices, the real half-integers and the imaginary points i n/(2 beta)
+CENTRED_DIRECTION = complex(np.exp(0.25j * np.pi))
 
 
 def centred_limit(g, lam0):
@@ -54,10 +56,9 @@ def centred_limit(g, lam0):
 
     g(lam0 + e d) = g0 + g1 e d + O(e^2), so the mean over the two points
     lam0 +/- e d cancels the linear term that biases a one-sided limit and
-    leaves an O(e^2) error.  d is the direction `pole_strength` approaches
-    along.
+    leaves an O(e^2) error.  d is `CENTRED_DIRECTION`.
     """
-    step = CENTRED_STEP * POLE_STRENGTH_DIRECTION
+    step = CENTRED_STEP * CENTRED_DIRECTION
     return (g(lam0 + step) + g(lam0 - step)) / 2.0
 
 

@@ -5,7 +5,15 @@ import json
 import numpy as np
 import pytest
 
-from spectral_sl import SchemaError, build_table, eval_f1, eval_f2, sampled_provider
+from spectral_sl import (
+    AnalyticProvider,
+    SchemaError,
+    build_table,
+    eval_f1,
+    eval_f2,
+    sampled_provider,
+)
+from spectral_sl import cli
 from spectral_sl.cli import (
     load_potential,
     load_reconstruction,
@@ -105,9 +113,9 @@ class TestExportRaster:
         plain = load_spectral_data(exports / "plain" / "spectral-data.json")
         n_eig = len(plain["eigenvalues"])
         assert n_eig == 6
-        # spokes into n/2, far-field clusters, clusters at +/- one member of
-        # each eigenvalue pair lam, -lam
-        assert len(plain["samples"]) == 40 * 6 + 6 * len(FALLBACK_RADII) + 6 * n_eig
+        # the pole-strength circle at each n/2, far-field clusters, clusters
+        # at +/- one member of each eigenvalue pair lam, -lam
+        assert len(plain["samples"]) == 32 * 6 + 6 * len(FALLBACK_RADII) + 6 * n_eig
         raster = load_spectral_data(exports / "raster" / "spectral-data.json")
         side = len(np.arange(0.1, 6.0 + 1e-12, 0.5))
         tail = raster["samples"][side * side:]
@@ -117,6 +125,14 @@ class TestExportRaster:
             a = np.array([complex(*s[key]) for s in tail])
             b = np.array([complex(*s[key]) for s in plain["samples"]])
             assert np.all(np.abs(a - b) <= 1e-12 * np.maximum(1.0, np.abs(b)))
+
+    def test_file_diagonal_matches_analytic(self, exports):
+        # the file holds the pole-strength circles exactly, so the diagonal
+        # read from it agrees with the forward model's to rounding
+        from_file = recover_diagonal(sampled_provider(exports / "plain" / "spectral-data.json"), 6)
+        analytic = recover_diagonal(AnalyticProvider(EIG_POTENTIAL, 30), 6)
+        for a, b in zip(from_file, analytic):
+            assert abs(a - b) <= 1e-13 * abs(b)
 
     def test_inverse_of_default_export(self, exports, tmp_path):
         out = tmp_path / "rec.json"
@@ -157,6 +173,20 @@ class TestInverseCommand:
         out = capsys.readouterr().out
         assert "self-test max relative error" in out
         assert float(out.strip().rsplit(" ", 1)[1]) < 1e-4
+
+    def test_self_test_failure_exits_two(self, tmp_path, capsys, monkeypatch):
+        real = cli.reconstruct
+
+        def biased(*args, **kwargs):
+            result = real(*args, **kwargs)
+            result.q[0] += 10 * cli.SELF_TEST_TOL
+            return result
+
+        monkeypatch.setattr(cli, "reconstruct", biased)
+        pot = tmp_path / "p.json"
+        write_potential(pot, 1.0, [1.0])
+        assert main(["inverse", "--self-test", str(pot), "--nmax", "2"]) == 2
+        assert "self-test error above" in capsys.readouterr().err
 
     def test_malformed_file_exits_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

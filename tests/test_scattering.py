@@ -18,6 +18,14 @@ from spectral_sl import (
 )
 
 from .conftest import offlattice_lambda, random_potential
+from .oracles import QC, exact_forward_table
+
+# the two potentials of the mpmath oracle; power-of-two denominators make
+# the float harmonics equal the exact ones
+EXACT_POTENTIALS = {
+    "q1": (1.0, [QC.of(1)]),
+    "h3": (0.75, [QC.of("1/2", "-1/4"), QC.of("-1/4", "1/2"), QC.of("1/8", "1/8")]),
+}
 
 
 class TestWronskianValues:
@@ -125,14 +133,27 @@ class TestPoleStrength:
             got = c11_pole_strength(t, p.beta, n)
             assert abs(got - t.entry(n, n)) < 1e-7 * max(1.0, abs(t.entry(n, n)))
 
-    def test_divergence_when_coefficient_vanishes_at_pole(self):
-        # a zero of the denominator function sitting exactly on the singular
-        # point makes the scaled ratio blow up like 1/eps
+    @pytest.mark.parametrize(
+        "zero",
+        [0.5, 0.5 + 0.005j, 0.515],
+        ids=["on-pole", "inside-circle", "just-outside-circle"],
+    )
+    def test_divergence_when_coefficient_vanishes_at_pole(self, zero):
+        # a zero of the denominator function at or next to the singular
+        # point: inside the circle c12 winds around it; just outside, the
+        # 16-point and 32-point trapezoidal estimates disagree
         c11_fn = lambda z: 1.0 / (1.0 - 2.0 * z)
-        c12_fn = lambda z: z - 0.5
+        c12_fn = lambda z: z - zero
         with pytest.raises(ExtrapolationDivergence):
             pole_strength(c11_fn, c12_fn, 1)
 
-    def test_rejects_non_geometric_eps(self):
-        with pytest.raises(ValueError):
-            pole_strength(lambda z: z, lambda z: z, 1, eps=(1e-2, 1e-3, 1e-5))
+    @pytest.mark.parametrize("name", sorted(EXACT_POTENTIALS))
+    def test_matches_exact_rational_diagonal(self, name):
+        beta, harmonics = EXACT_POTENTIALS[name]
+        exact = exact_forward_table(harmonics, 6)
+        potential = FourierPotential(beta=beta, q=tuple(h.to_complex() for h in harmonics))
+        table = build_table(potential, 30)
+        for n in range(1, 7):
+            truth = exact[(n, n)].to_complex()
+            got = c11_pole_strength(table, beta, n)
+            assert abs(got - truth) <= 1e-12 * abs(truth)
