@@ -392,13 +392,11 @@ def cmd_eval(config: RunConfig, lam: complex, x_range, which: str) -> int:
     parent = os.path.dirname(out)
     if parent:
         os.makedirs(parent, exist_ok=True)
+    f, df, res = eval_with_residual(potential, table, lam, x_range, which)
     lines = ["x,re,im,d_re,d_im,ode_residual_abs"]
-    for x in x_range:
-        s, res = eval_with_residual(potential, table, lam, float(x), which)
-        lines.append(
-            f"{float(x)!r},{s.value.real!r},{s.value.imag!r},"
-            f"{s.derivative.real!r},{s.derivative.imag!r},{abs(res)!r}"
-        )
+    # Python abs per row: the residual column must not depend on the grid
+    for x, v, d, r in zip(x_range.tolist(), f.tolist(), df.tolist(), res.tolist()):
+        lines.append(f"{x!r},{v.real!r},{v.imag!r},{d.real!r},{d.imag!r},{abs(r)!r}")
     tmp = f"{out}.tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

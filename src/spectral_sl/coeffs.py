@@ -18,7 +18,6 @@ depends on the spectral parameter.
 
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -60,9 +59,10 @@ class FourierPotential:
             raise ValueError("harmonic index starts at 1")
         return self.q[n - 1] if n <= len(self.q) else 0.0 + 0.0j
 
-    def at(self, x) -> complex:
-        """Evaluate q(x) = sum_n q_n e^{inx}."""
-        return sum(c * cmath.exp(1j * n * x) for n, c in enumerate(self.q, start=1))
+    def at(self, x):
+        """Evaluate q(x) = sum_n q_n e^{inx}, elementwise over an array x."""
+        x = np.asarray(x)
+        return sum(c * np.exp(1j * n * x) for n, c in enumerate(self.q, start=1))
 
 
 @dataclass(frozen=True)
@@ -101,7 +101,10 @@ class CoefficientTable:
         #: these carry a pole of the series; for a table that satisfies the
         #: recurrences they are exactly the rows with V[n, n] != 0.
         self.live_rows = np.flatnonzero(np.any(entries != 0.0, axis=1))
-        self._zero_sums = _row_sums(entries, 0.0)
+        #: (s_n(0), s_n'(0)) for every row, where s_n(x) = sum_a V[n,a] e^{iax}:
+        #: the row sums at x = 0, where every connection coefficient is taken.
+        ia = 1j * np.arange(1, entries.shape[0] + 1)
+        self.zero_sums = (entries @ np.ones_like(ia), entries @ ia)
         self._tail = tail_report(self, warn=False)
 
     @property
@@ -120,31 +123,10 @@ class CoefficientTable:
     def diagonal(self) -> np.ndarray:
         return np.diagonal(self._entries).copy()
 
-    def row_sums(self, x, derivatives: int = 1) -> tuple:
-        """(s_n(x), s_n'(x), ...) up to the given derivative order, where
-        s_n(x) = sum_a V[n,a] e^{iax}, for each row n; x may be complex.
-
-        Value and slope at x = 0, where every connection coefficient is
-        taken, are formed once, at construction.
-        """
-        if x == 0 and derivatives <= 1:
-            return self._zero_sums[: derivatives + 1]
-        return _row_sums(self._entries, x, derivatives)
-
     @property
     def tail_estimate(self) -> float:
         """Projected dropped-tail contribution of the weighted norm."""
         return self._tail.tail_estimate
-
-
-def _row_sums(entries: np.ndarray, x, derivatives: int = 1) -> tuple:
-    ia = 1j * np.arange(1, entries.shape[0] + 1)
-    e = np.exp(ia * x)
-    sums = []
-    for _ in range(derivatives + 1):
-        sums.append(entries @ e)
-        e = ia * e
-    return tuple(sums)
 
 
 def build_table(potential: FourierPotential, order: int = 30) -> CoefficientTable:

@@ -66,7 +66,7 @@ def _coefficients(table: CoefficientTable, beta: float, lam, names, pole_tol=Non
     so a coefficient is finite wherever its own two branches are.  With
     pole_tol=None neither the branches nor lam = 0 are guarded.
     """
-    lam = np.asarray(lam, dtype=complex)
+    lam = np.atleast_1d(np.asarray(lam, dtype=complex))  # the many-exponent route at x = 0
     if pole_tol is not None and np.any(np.abs(lam) < pole_tol):
         raise ZeroWavenumber("coefficients are undefined at lambda = 0")
     branches = {}

@@ -90,14 +90,23 @@ def _exponent(which: str, lam, beta: float):
 def _series(table: CoefficientTable, k, x, scale: float = 1.0,
             pole_tol: float | None = POLE_TOL, second: bool = False) -> tuple:
     """f(x; k), its x-derivative and, with ``second``, its second
-    x-derivative for every exponent in k, followed by the pole distance.
+    x-derivative, followed by the pole distance.
 
-    All are arrays of at least one dimension, shaped like k.  The distance
-    is measured in the lam plane (the k-distance divided by ``scale``) from
-    each k to the nearest pole k = -in/2 of a live row; it is infinite for
-    a table with no live row.  Raises PoleProximity when a distance is
-    below ``pole_tol``; with pole_tol=None nothing is guarded.
+    The contraction order follows the shape of k.  An array of exponents is
+    taken at the stored x = 0 only (value and slope), through the row sums
+    s_n(0); the results are shaped like k.  A single (0-d) exponent is taken
+    over a scalar or 1-d array x: the weights are contracted with the table
+    once, u_a = sum_n w_n V[n,a], and sum_a u_a (ia)^d e^{iax} is summed by
+    Horner's rule in z = e^{ix}, elementwise (a point's bits do not depend
+    on the rest of x) and in O(len(x)) memory; the results are shaped like x.
+
+    The distance, an array shaped like k, is measured in the lam plane (the
+    k-distance divided by ``scale``) from each k to the nearest pole
+    k = -in/2 of a live row; it is infinite for a table with no live row.
+    Raises PoleProximity when a distance is below ``pole_tol``; with
+    pole_tol=None nothing is guarded.
     """
+    many = np.ndim(k) > 0
     k = np.atleast_1d(np.asarray(k, dtype=complex))
     rows = table.live_rows
     # n - 2ik = -2i (k + in/2), so the weights' own denominators give the
@@ -109,7 +118,21 @@ def _series(table: CoefficientTable, k, x, scale: float = 1.0,
             f"lambda is {dist.min():.3g} from a pole of the series (tolerance {pole_tol})"
         )
     w = 1.0 / denom
-    g, dg, *d2g = (sums[rows] @ w for sums in table.row_sums(x, 2 if second else 1))
+    if many:
+        if second or x != 0:
+            raise ValueError("an array of exponents is evaluated only at x = 0, value and slope")
+        g, dg = (sums[rows] @ w for sums in table.zero_sums)
+    else:
+        k = k[0]
+        x = np.atleast_1d(x)
+        ia = 1j * np.arange(1, table.order + 1)
+        u = w[:, 0] @ table.entries[rows]
+        coef = np.stack([u, ia * u, ia * ia * u][: 3 if second else 2], axis=1)
+        z = np.exp(1j * x)
+        acc = np.zeros((coef.shape[1],) + x.shape, dtype=complex)
+        for c in coef[::-1]:
+            acc = (acc + c[:, None]) * z
+        g, dg, *d2g = acc
     g = 1.0 + g
     e = np.exp(k * x)
     derivs = [e * g, e * (k * g + dg)]
@@ -173,21 +196,24 @@ def eval_fn_limit(table: CoefficientTable, n: int, x, sign: str = "+") -> comple
         raise ValueError(f"branch must be '+' or '-', got {sign!r}")
     if not 1 <= n <= table.order:
         raise ValueError(f"require 1 <= n <= {table.order}")
-    (sums,) = table.row_sums(x, 0)
-    return complex(sums[n - 1]) * cmath.exp(-0.5j * n * complex(x))
+    row = table.entries[n - 1] @ np.exp(1j * np.arange(1, table.order + 1) * x)
+    return complex(row) * cmath.exp(-0.5j * n * complex(x))
 
 
 def eval_with_residual(potential: FourierPotential, table: CoefficientTable, lam: complex,
-                       x: float, which: str, pole_tol: float = POLE_TOL) -> tuple:
-    """One branch's sample at (x, lam) and its ODE residual, from a single
-    series evaluation; see `ode_residual`."""
+                       x, which: str, pole_tol: float = POLE_TOL) -> tuple:
+    """Value, slope and ODE residual of one branch over the real array x,
+    from a single series pass; see `ode_residual`.
+
+    Every point is computed elementwise, so each one has the same bits as
+    `eval_f1` / `eval_f2` and `ode_residual` at that x alone.
+    """
     lam = complex(lam)
+    x = np.atleast_1d(np.asarray(x, dtype=float))
     k, scale = _exponent(which, lam, potential.beta)
-    f, df, f2d, dist = _series(table, k, x, scale, pole_tol, second=True)
-    rho = 1.0 if x >= 0 else -(potential.beta**2)
-    residual = complex(-f2d[0] + potential.at(x) * f[0] - lam * lam * rho * f[0])
-    sample = SolutionSample(complex(f[0]), complex(df[0]), table.tail_estimate / max(float(dist[0]), _TINY))
-    return sample, residual
+    f, df, f2d, _dist = _series(table, k, x, scale, pole_tol, second=True)
+    rho = np.where(x >= 0, 1.0, -(potential.beta**2))
+    return f, df, -f2d + potential.at(x) * f - lam * lam * rho * f
 
 
 def ode_residual(
@@ -204,7 +230,7 @@ def ode_residual(
     series.  ``which`` is one of 'f1+', 'f1-', 'f2+', 'f2-'; rho(x) is 1 for
     x >= 0 and -beta^2 otherwise (evaluate away from the jump at 0).
     """
-    return eval_with_residual(potential, table, lam, x, which, pole_tol)[1]
+    return complex(eval_with_residual(potential, table, lam, x, which, pole_tol)[2][0])
 
 
 def _continued(table: CoefficientTable, beta: float, lam: complex, x: float,

@@ -280,6 +280,48 @@ class TestEvalCommand:
             )
         assert csv.read_text().splitlines()[1:] == expect
 
+    @pytest.mark.parametrize("which", ["f1+", "f1-", "f2+", "f2-"])
+    def test_rows_do_not_depend_on_the_batch(self, tmp_path, which):
+        # the whole grid is one series pass; a row must still have the bits
+        # of that x evaluated alone, wherever it sits in the grid
+        p = EIG_POTENTIAL
+        pot = tmp_path / "p.json"
+        write_potential(pot, p.beta, p.q)
+        csv = tmp_path / "c.csv"
+        lam, count = 0.9 + 0.4j, 601
+        lo, hi = (0.0, 6.0) if which[1] == "1" else (-6.0, -0.003)
+        assert main([
+            "eval", str(pot), "--lambda", "0.9+0.4i", f"--x-range={lo}:{hi}:{count}",
+            "--solution", which, "--out", str(csv),
+        ]) == 0
+        rows = csv.read_text().splitlines()[1:]
+        assert len(rows) == count
+        table = build_table(p, 30)
+        xs = np.linspace(lo, hi, count)
+        for i in range(0, count, 50):
+            x = float(xs[i])
+            if which[1] == "1":
+                s = eval_f1(table, lam, x, which[2])
+            else:
+                s = eval_f2(table, p.beta, lam, x, which[2])
+            res = abs(ode_residual(p, table, lam, x, which))
+            assert rows[i] == (
+                f"{x!r},{s.value.real!r},{s.value.imag!r},"
+                f"{s.derivative.real!r},{s.derivative.imag!r},{res!r}"
+            )
+
+    def test_pole_exits_two_without_output(self, tmp_path, capsys):
+        # f1- has a live pole at lambda = +1/2 when q_1 != 0
+        pot = tmp_path / "p.json"
+        write_potential(pot, 1.0, [1.0])
+        csv = tmp_path / "c.csv"
+        assert main([
+            "eval", str(pot), "--lambda", "0.5", "--x-range", "0:2:5",
+            "--solution", "f1-", "--out", str(csv),
+        ]) == 2
+        assert "numerical error" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [pot]
+
     def test_bad_lambda_exits_one(self, tmp_path):
         pot = tmp_path / "p.json"
         write_potential(pot, 1.0, [])

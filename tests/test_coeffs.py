@@ -40,6 +40,10 @@ class TestPotential:
         p = FourierPotential(beta=1.0, q=(1.0,))
         x = 0.7
         assert abs(p.at(x) - np.exp(1j * x)) < 1e-15
+        # an array gives each point the bits of that point alone
+        p = FourierPotential(beta=1.0, q=(1.0, -0.5 + 2j, 0.25j))
+        xs = np.linspace(-3.0, 3.0, 41)
+        assert p.at(xs).tolist() == [complex(p.at(float(x))) for x in xs]
 
 
 class TestForwardTable:
