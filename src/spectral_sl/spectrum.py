@@ -8,9 +8,9 @@ eigenvalues come in pairs lam, -lam: quadrant 2's function at -lam is
 quadrant 0's at lam, and quadrant 1's at -lam is quadrant 3's at lam.  The
 full scan therefore searches quadrants 0 and 3 only, by winding-number
 counting over rectangles with adaptive subdivision and Newton polishing
-started from the contour's first moment once a small box holds one zero,
-and adds the mirror of every hit.  The two axes carry the continuous
-spectrum, with distinguished points at n/2 and i n/(2 beta).
+started from the moment pencil of each box winding 1 to 4 times, and adds
+the mirror of every hit.  The two axes carry the continuous spectrum, with
+distinguished points at n/2 and i n/(2 beta).
 """
 
 from __future__ import annotations
@@ -141,23 +141,52 @@ def _winding(fn: Callable, box, per_edge: int, max_doublings: int = 3):
 def _newton_polish(fn: Callable, z0: complex, tol: float) -> tuple:
     """Newton iteration with a high-order central-difference derivative.
 
-    Returns the last iterate and whether the step criterion was met.
+    Returns the last iterate and whether the step criterion was met; a
+    non-finite value, derivative or step ends it unconverged.
     """
     z = complex(z0)
-    for _ in range(60):
-        h = 1e-6 * max(1.0, abs(z))
-        pts = np.array([z, z + 2 * h, z + h, z - h, z - 2 * h])
-        f0, f2p, f1p, f1m, f2m = np.asarray(fn(pts), dtype=complex)
-        if abs(f0) == 0.0:
-            return z, True
-        d = (-f2p + 8.0 * f1p - 8.0 * f1m + f2m) / (12.0 * h)
-        if d == 0.0:
-            break
-        step = -f0 / d
-        z += step
-        if abs(step) <= tol * (1.0 + abs(z)):
-            return z, True
+    with np.errstate(all="ignore"):  # a wild start may overflow: it then fails
+        for _ in range(60):
+            h = 1e-6 * max(1.0, abs(z))
+            pts = np.array([z, z + 2 * h, z + h, z - h, z - 2 * h])
+            f0, f2p, f1p, f1m, f2m = np.asarray(fn(pts), dtype=complex)
+            if abs(f0) == 0.0:
+                return z, True
+            d = (-f2p + 8.0 * f1p - 8.0 * f1m + f2m) / (12.0 * h)
+            step = -f0 / d
+            if not np.isfinite(step):  # non-finite f0 or d, or d = 0
+                break
+            z += step
+            if abs(step) <= tol * (1.0 + abs(z)):
+                return z, True
     return z, False
+
+
+def _pencil_zeros(fn: Callable, pts, vals, box, w: int, tol: float):
+    """Newton-polished zeros of fn in box from the Hankel pencil of its
+    moments s_p = (1/2 pi i) ∮ u^p f'/f dz, p < 2w (Kravanja & Van Barel
+    2000), on u centred on the box and scaled by its half-side, by the
+    midpoint rule on log(f_{j+1}/f_j).  None unless all w converge strictly
+    inside the box and are pairwise distinct."""
+    re_lo, re_hi, im_lo, im_hi = box
+    c = complex(0.5 * (re_lo + re_hi), 0.5 * (im_lo + im_hi))
+    r = 0.5 * max(re_hi - re_lo, im_hi - im_lo)
+    u = (0.5 * (pts + np.roll(pts, -1)) - c) / r
+    dlog = np.log(np.roll(vals, -1) / vals)
+    s = np.array([np.sum(u**p * dlog) for p in range(2 * w)]) / (2j * np.pi)
+    hankel = np.add.outer(np.arange(w), np.arange(w))
+    try:
+        starts = c + r * np.linalg.eigvals(np.linalg.solve(s[hankel], s[hankel + 1]))
+    except np.linalg.LinAlgError:  # singular H0, or a non-finite pencil
+        return None
+    zeros = []
+    for z0 in starts:
+        z, converged = _newton_polish(fn, z0, tol)
+        inside = re_lo < z.real < re_hi and im_lo < z.imag < im_hi
+        if not (converged and inside) or any(abs(z - y) <= max(100.0 * tol, 1e-7) for y in zeros):
+            return None
+        zeros.append(z)
+    return zeros
 
 
 def find_zeros(
@@ -172,10 +201,11 @@ def find_zeros(
 
     Recursive winding-number counting: boxes with zero winding are dropped,
     boxes small enough are handed to Newton polishing, everything else is
-    quartered.  A box of winding 1 at depth >= 3 (sides about 1/8 of the
-    root box's) first goes to Newton from the first moment of its boundary
-    samples (Delves & Lyness 1967); the root is kept if Newton converged
-    strictly inside the box.  ``fn`` must accept complex numpy arrays.
+    quartered.  A box of winding 1 <= w <= 4, the root included, first tries
+    `_pencil_zeros` on the samples of its winding count: w distinct zeros
+    inside a box of winding w are all of them, and simple.  Otherwise it is
+    quartered, so multiple zeros and windings > 4 reach the leaf size.
+    ``fn`` must accept complex numpy arrays.
     """
     rng = np.random.default_rng(seed)
     last = []  # the boundary samples of the latest winding count
@@ -200,14 +230,8 @@ def find_zeros(
         if size <= 64.0 * max(tol, 1e-12) or size <= 1e-2:
             center = complex(0.5 * (re_lo + re_hi), 0.5 * (im_lo + im_hi))
             return [(_newton_polish(fn, center, tol)[0], w)]
-        if w == 1 and depth >= 3:
-            # the first moment (1/2 pi i) ∮ z f'/f dz, the zero itself, by the
-            # midpoint rule on the increments log|f_{j+1}/f_j| + i dphi_j
-            pts, vals = last
-            z0 = np.sum((pts + np.roll(pts, -1)) * np.log(np.roll(vals, -1) / vals)) / (4j * np.pi)
-            z, converged = _newton_polish(fn, complex(z0), tol)
-            if converged and re_lo < z.real < re_hi and im_lo < z.imag < im_hi:
-                return [(z, 1)]
+        if w <= 4 and (zeros := _pencil_zeros(fn, *last, b, w, tol)) is not None:
+            return [(z, 1) for z in zeros]
         for attempt in range(3):
             # split lines are jittered so a zero sitting exactly on the
             # midline cannot poison all four children

@@ -99,7 +99,9 @@ class TestFindZeros:
             find_zeros(fn, (0.1, 2.0, 0.1, 2.0))
 
     def test_budget(self):
-        fn = lambda z: np.asarray(z, dtype=complex) - (1 + 1j)
+        # a double zero defeats the moment handoff, so its boxes are quartered
+        # until the depth limit
+        fn = lambda z: (np.asarray(z, dtype=complex) - (1 + 1j)) ** 2
         with pytest.raises(BudgetExceeded):
             find_zeros(fn, (0.1, 9.0, 0.1, 9.0), max_depth=2)
 
@@ -140,6 +142,69 @@ class TestFindZeros:
         assert abs(z - (1 + 1j)) < 1e-9
         assert mult == 1
 
+    def test_three_zeros_from_one_winding_count(self):
+        # the root box winds three times and its moment pencil hands all
+        # three zeros to Newton: one 2,048-point winding count plus Newton
+        roots = (0.7 + 0.4j, 1.9 + 2.2j, 2.5 + 0.9j)
+        points = [0]
+
+        def fn(z):
+            z = np.asarray(z, dtype=complex)
+            points[0] += z.size
+            return (z - roots[0]) * (z - roots[1]) * (z - roots[2])
+
+        zeros = find_zeros(fn, (0.1, 3.0, 0.1, 3.0), tol=1e-10)
+        assert points[0] <= 2_048 + 300
+        assert [m for _z, m in zeros] == [1, 1, 1]
+        for (z, _m), root in zip(zeros, roots):
+            assert abs(z - root) < 1e-10
+
+    def test_five_zeros_are_quartered(self, monkeypatch):
+        # the pencil is tried only up to winding 4: a root box of winding 5
+        # is quartered before any handoff
+        windings = []
+        pencil = spectrum_module._pencil_zeros
+
+        def spy(fn, pts, vals, box, w, tol):
+            windings.append(w)
+            return pencil(fn, pts, vals, box, w, tol)
+
+        monkeypatch.setattr(spectrum_module, "_pencil_zeros", spy)
+        roots = [0.5 + 0.5j, 2.5 + 0.5j, 0.5 + 2.5j, 2.5 + 2.5j, 1.7 + 1.2j]
+
+        def fn(z):
+            z = np.asarray(z, dtype=complex)
+            return np.prod([z - r for r in roots], axis=0)
+
+        zeros = find_zeros(fn, (0.1, 3.0, 0.1, 3.0), tol=1e-10)
+        assert 5 not in windings and windings
+        assert sorted(m for _z, m in zeros) == [1] * 5
+        for r in roots:
+            assert min(abs(z - r) for z, _m in zeros) < 1e-9
+
+    def test_repeated_root_falls_back_to_quartering(self, monkeypatch):
+        # Newton is forced to return the first zero for both starts of the
+        # root box (winding 2): the two roots are not distinct, so the box
+        # is quartered and each child hands its own zero off
+        newton = spectrum_module._newton_polish
+        calls = []
+
+        def polish(fn, z0, tol):
+            calls.append(z0)
+            if len(calls) == 2:
+                return newton(fn, calls[0], tol)
+            return newton(fn, z0, tol)
+
+        monkeypatch.setattr(spectrum_module, "_newton_polish", polish)
+        a, b = 0.7 + 0.4j, 1.9 + 2.2j
+        fn = lambda z: (np.asarray(z, dtype=complex) - a) * (np.asarray(z, dtype=complex) - b)
+        zeros = find_zeros(fn, (0.1, 3.0, 0.1, 3.0), tol=1e-10)
+        assert len(calls) >= 4
+        assert len(zeros) == 2
+        (z1, m1), (z2, m2) = zeros
+        assert m1 == m2 == 1
+        assert abs(z1 - a) < 1e-9 and abs(z2 - b) < 1e-9
+
 
 class TestEigenvalues:
     def test_free_potential_has_none(self, zero_table):
@@ -167,8 +232,9 @@ class TestEigenvalues:
     def test_search_evaluation_budget(self, monkeypatch):
         # every coefficient evaluation of the search goes through the
         # coefficient_evaluators closures; quartering every box down to 1e-2
-        # took 450,670 of them on this potential, and searching all four
-        # quadrants with the moment handoff 106,562
+        # took 450,670 of them on this potential, searching all four
+        # quadrants with a first-moment handoff below depth 3 106,562, and
+        # the moment pencil at the root of quadrants 0 and 3 takes 4,144
         evaluators = spectrum_module.coefficient_evaluators
         points = [0]
 
@@ -184,7 +250,7 @@ class TestEigenvalues:
 
         monkeypatch.setattr(spectrum_module, "coefficient_evaluators", counting)
         report = scan_spectrum(build_table(EIG_POTENTIAL, 30), EIG_POTENTIAL.beta)
-        assert points[0] <= 60_000
+        assert points[0] <= 20_000
         assert min(abs(h.lam - EIG_LAMBDA_S0) for h in report.eigenvalues) < 1e-12
 
     def test_winding_count_matches_report(self):
