@@ -118,10 +118,10 @@ def _load_json(path):
 
 
 def _write_json(path, obj):
+    text = json.dumps(obj, ensure_ascii=True) + "\n"  # C encoder, unlike dump; no .tmp on failure
     tmp = f"{path}.tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, ensure_ascii=True)
-        fh.write("\n")
+        fh.write(text)
     os.replace(tmp, path)
 
 
@@ -158,7 +158,7 @@ def spectral_data_to_dict(eigenvalues, points, c11, c12, meta) -> dict:
                 "c11": [a.real, a.imag],
                 "c12": [b.real, b.imag],
             }
-            for p, a, b in zip(points, c11, c12)
+            for p, a, b in zip(points.tolist(), c11.tolist(), c12.tolist())  # Python floats
         ],
         "meta": meta,
     }
@@ -180,12 +180,18 @@ def load_spectral_data(path) -> dict:
             isinstance(e["sector"], int) and 0 <= e["sector"] <= 3,
             f"eigenvalues[{i}].sector must be 0..3",
         )
+    number = (int, float)  # exact for JSON values, where bool is its own type
     for i, s in enumerate(data["samples"]):
-        _require(isinstance(s, dict), f"samples[{i}] must be an object")
+        # no message is formatted unless a check fails
+        if type(s) is not dict:
+            raise SchemaError(f"samples[{i}] must be an object")
         for key in ("re", "im", "c11", "c12"):
-            _require(key in s, f"samples[{i}] is missing '{key}'")
-        _as_pair(s["c11"], f"samples[{i}].c11")
-        _as_pair(s["c12"], f"samples[{i}].c12")
+            if key not in s:
+                raise SchemaError(f"samples[{i}] is missing '{key}'")
+        for key in ("c11", "c12"):
+            v = s[key]
+            if not (type(v) is list and len(v) == 2 and type(v[0]) in number and type(v[1]) in number):
+                raise SchemaError(f"samples[{i}].{key} must be a [re, im] pair of numbers")
     return data
 
 

@@ -104,7 +104,7 @@ def _series(table: CoefficientTable, k, x, scale: float = 1.0,
     k-distance divided by ``scale``) from each k to the nearest pole
     k = -in/2 of a live row; it is infinite for a table with no live row.
     Raises PoleProximity when a distance is below ``pole_tol``; with
-    pole_tol=None nothing is guarded.
+    pole_tol=None nothing is guarded and an array of exponents gets None.
     """
     many = np.ndim(k) > 0
     k = np.atleast_1d(np.asarray(k, dtype=complex))
@@ -112,27 +112,29 @@ def _series(table: CoefficientTable, k, x, scale: float = 1.0,
     # n - 2ik = -2i (k + in/2), so the weights' own denominators give the
     # pole distance
     denom = (rows + 1.0)[:, None] - 2j * k
-    dist = np.min(np.abs(denom), axis=0, initial=np.inf) / (2.0 * scale)
+    dist = None if many and pole_tol is None else (
+        np.min(np.abs(denom), axis=0, initial=np.inf) / (2.0 * scale))
     if pole_tol is not None and np.any(dist < pole_tol):
         raise PoleProximity(
             f"lambda is {dist.min():.3g} from a pole of the series (tolerance {pole_tol})"
         )
-    w = 1.0 / denom
+    w = np.divide(1.0, denom, out=denom)
     if many:
         if second or x != 0:
             raise ValueError("an array of exponents is evaluated only at x = 0, value and slope")
         g, dg = (sums[rows] @ w for sums in table.zero_sums)
-    else:
-        k = k[0]
-        x = np.atleast_1d(x)
-        ia = 1j * np.arange(1, table.order + 1)
-        u = w[:, 0] @ table.entries[rows]
-        coef = np.stack([u, ia * u, ia * ia * u][: 3 if second else 2], axis=1)
-        z = np.exp(1j * x)
-        acc = np.zeros((coef.shape[1],) + x.shape, dtype=complex)
-        for c in coef[::-1]:
-            acc = (acc + c[:, None]) * z
-        g, dg, *d2g = acc
+        g = 1.0 + g
+        return g, k * g + dg, dist  # e^{kx} = 1 at x = 0
+    k = k[0]
+    x = np.atleast_1d(x)
+    ia = 1j * np.arange(1, table.order + 1)
+    u = w[:, 0] @ table.entries[rows]
+    coef = np.stack([u, ia * u, ia * ia * u][: 3 if second else 2], axis=1)
+    z = np.exp(1j * x)
+    acc = np.zeros((coef.shape[1],) + x.shape, dtype=complex)
+    for c in coef[::-1]:
+        acc = (acc + c[:, None]) * z
+    g, dg, *d2g = acc
     g = 1.0 + g
     e = np.exp(k * x)
     derivs = [e * g, e * (k * g + dg)]

@@ -22,7 +22,7 @@ from spectral_sl.cli import (
     spectrum_report_from_dict,
     spectrum_report_to_dict,
 )
-from spectral_sl.inverse import FALLBACK_RADII, recover_diagonal
+from spectral_sl.inverse import FALLBACK_RADII, ReconstructionResult, recover_diagonal
 from spectral_sl.solutions import ode_residual
 from spectral_sl.spectrum import SpectrumReport, EigenvalueHit, Singularity
 
@@ -54,6 +54,33 @@ class TestSchemas:
         with pytest.raises(SchemaError):
             load_potential(path)
 
+    # a sample list whose first bad entry is index 1; index 3 is bad too
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ({"c11": [True, 0.0]}, "samples[1].c11 must be a [re, im] pair of numbers"),
+            ({"c12": [1.0, 2.0, 3.0]}, "samples[1].c12 must be a [re, im] pair of numbers"),
+            ({"c11": [1.0, "2"]}, "samples[1].c11 must be a [re, im] pair of numbers"),
+            ({"c12": None}, "samples[1] is missing 'c12'"),
+            ([0.5, 0.01], "samples[1] must be an object"),
+        ],
+        ids=["bool-c11", "three-c12", "string-c11", "missing-c12", "not-object"],
+    )
+    def test_sample_schema_errors(self, tmp_path, capsys, bad, message):
+        good = {"re": 0.5, "im": 0.01, "c11": [1, -2.0], "c12": [0.0, 3]}
+        if isinstance(bad, dict):
+            bad = {k: v for k, v in {**good, **bad}.items() if v is not None}
+        samples = [good, bad, good, {"re": 0.0, "im": 0.0, "c11": [False, 1.0]}]
+        path = tmp_path / "data.json"
+        path.write_text(json.dumps({"eigenvalues": [], "samples": samples, "meta": {}}))
+        with pytest.raises(SchemaError) as exc:
+            load_spectral_data(path)
+        assert str(exc.value) == message
+        assert main(["inverse", str(path)]) == 1
+        assert capsys.readouterr().err == f"schema error: {message}\n"
+        path.write_text(json.dumps({"eigenvalues": [], "samples": [good, good], "meta": {}}))
+        assert load_spectral_data(path)["samples"] == [good, good]
+
     def test_spectrum_report_roundtrip(self):
         report = SpectrumReport(
             eigenvalues=[
@@ -65,6 +92,32 @@ class TestSchemas:
         assert back.eigenvalues == report.eigenvalues
         assert back.singularities == report.singularities
         assert back.continuous_spectrum == report.continuous_spectrum
+
+
+class TestWriter:
+    def test_bytes_match_the_python_encoder(self, tmp_path):
+        data, report = cli._forward_products(cli.RunConfig(command="forward"), EIG_POTENTIAL)
+        result = ReconstructionResult(
+            beta=np.float64(1.25),
+            q=[np.complex128(0.5 - 2j), complex(-0.0, 1e-300)],
+            diagnostics={
+                "offdiagonal_residual": np.float64(3.5e-17),
+                "column_sum_residual": float("nan"),
+                "spread": [float("inf"), -float("inf"), -0.0, np.float64(-0.0)],
+                "stable_harmonics": [True, False],
+                "eigenvalue_count": 6,
+            },
+        )
+        for i, obj in enumerate((data, report, cli.reconstruction_to_dict(result))):
+            path = tmp_path / f"{i}.json"
+            cli._write_json(path, obj)
+            text = "".join(json.JSONEncoder(ensure_ascii=True).iterencode(obj)) + "\n"
+            assert path.read_bytes() == text.encode("ascii")
+
+    def test_failed_encoding_leaves_no_file(self, tmp_path):
+        with pytest.raises(TypeError):
+            cli._write_json(tmp_path / "t.json", {"a": [1.0] * 10, "b": object()})
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestForwardCommand:

@@ -6,6 +6,7 @@ import pytest
 from spectral_sl import (
     ExtrapolationDivergence,
     FourierPotential,
+    PoleProximity,
     ZeroWavenumber,
     build_table,
     c11_pole_strength,
@@ -16,6 +17,8 @@ from spectral_sl import (
     pole_strength,
     wronskian,
 )
+from spectral_sl.scattering import _coefficients
+from spectral_sl.solutions import POLE_TOL
 
 from .conftest import offlattice_lambda, random_potential
 from .oracles import QC, exact_forward_table
@@ -114,6 +117,32 @@ class TestConnectionCoefficients:
         dz = 0.3j * np.exp(1j * theta) * (2 * np.pi / 256)
         integral = np.sum(c12(z) * dz)
         assert abs(integral) < 1e-8
+
+
+class TestCoefficientRoutes:
+    NAMES = ("c11", "c12", "c21", "c22")
+
+    def test_unguarded_route_equals_guarded(self):
+        # pole_tol=None skips only the guard: the values keep their bits
+        rng = np.random.default_rng(31)
+        for _ in range(4):
+            p = random_potential(rng)
+            t = build_table(p, 30)
+            lam = np.array([offlattice_lambda(rng, p.beta) for _ in range(64)])
+            free = _coefficients(t, p.beta, lam, self.NAMES)
+            guarded = _coefficients(t, p.beta, lam, self.NAMES, POLE_TOL)
+            for a, b in zip(free, guarded):
+                assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_guarded_route_refuses_a_pole(self, q1_table_30, n):
+        # c11 holds f1-, whose pole sits at +n/2
+        step = np.exp(0.3j)
+        near = np.array([0.7 + 0.4j, n / 2 + 0.9 * POLE_TOL * step])
+        with pytest.raises(PoleProximity):
+            _coefficients(q1_table_30, 1.0, near, ("c11",), POLE_TOL)
+        clear = np.array([0.7 + 0.4j, n / 2 + 1.1 * POLE_TOL * step])
+        assert np.all(np.isfinite(_coefficients(q1_table_30, 1.0, clear, ("c11",), POLE_TOL)[0]))
 
 
 class TestPoleStrength:
