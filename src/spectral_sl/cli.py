@@ -172,15 +172,14 @@ def load_spectral_data(path) -> dict:
     _require(isinstance(data["eigenvalues"], list), "'eigenvalues' must be a list")
     _require(isinstance(data["samples"], list), "'samples' must be a list")
     _require(isinstance(data["meta"], dict), "'meta' must be an object")
+    number = (int, float)  # exact for JSON values, where bool is its own type
     for i, e in enumerate(data["eigenvalues"]):
         _require(isinstance(e, dict), f"eigenvalues[{i}] must be an object")
         for key in ("re", "im", "sector", "multiplicity"):
             _require(key in e, f"eigenvalues[{i}] is missing '{key}'")
-        _require(
-            isinstance(e["sector"], int) and 0 <= e["sector"] <= 3,
-            f"eigenvalues[{i}].sector must be 0..3",
-        )
-    number = (int, float)  # exact for JSON values, where bool is its own type
+        for key in ("re", "im"):
+            _require(type(e[key]) in number, f"eigenvalues[{i}].{key} must be a number")
+        _require(type(e["sector"]) is int and 0 <= e["sector"] <= 3, f"eigenvalues[{i}].sector must be 0..3")
     for i, s in enumerate(data["samples"]):
         # no message is formatted unless a check fails
         if type(s) is not dict:
@@ -188,6 +187,9 @@ def load_spectral_data(path) -> dict:
         for key in ("re", "im", "c11", "c12"):
             if key not in s:
                 raise SchemaError(f"samples[{i}] is missing '{key}'")
+        for key in ("re", "im"):
+            if type(s[key]) not in number:
+                raise SchemaError(f"samples[{i}].{key} must be a number")
         for key in ("c11", "c12"):
             v = s[key]
             if not (type(v) is list and len(v) == 2 and type(v[0]) in number and type(v[1]) in number):

@@ -63,8 +63,10 @@ class TestSchemas:
             ({"c11": [1.0, "2"]}, "samples[1].c11 must be a [re, im] pair of numbers"),
             ({"c12": None}, "samples[1] is missing 'c12'"),
             ([0.5, 0.01], "samples[1] must be an object"),
+            ({"re": "x"}, "samples[1].re must be a number"),
+            ({"re": True}, "samples[1].re must be a number"),
         ],
-        ids=["bool-c11", "three-c12", "string-c11", "missing-c12", "not-object"],
+        ids=["bool-c11", "three-c12", "string-c11", "missing-c12", "not-object", "string-re", "bool-re"],
     )
     def test_sample_schema_errors(self, tmp_path, capsys, bad, message):
         good = {"re": 0.5, "im": 0.01, "c11": [1, -2.0], "c12": [0.0, 3]}
@@ -80,6 +82,26 @@ class TestSchemas:
         assert capsys.readouterr().err == f"schema error: {message}\n"
         path.write_text(json.dumps({"eigenvalues": [], "samples": [good, good], "meta": {}}))
         assert load_spectral_data(path)["samples"] == [good, good]
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ({"im": None}, "eigenvalues[1].im must be a number"),
+            ({"re": "0.5"}, "eigenvalues[1].re must be a number"),
+            ({"sector": True}, "eigenvalues[1].sector must be 0..3"),
+        ],
+        ids=["null-im", "string-re", "bool-sector"],
+    )
+    def test_eigenvalue_schema_errors(self, tmp_path, capsys, bad, message):
+        good = {"re": 0.5, "im": 0.25, "sector": 0, "multiplicity": 1}
+        sample = {"re": 0.5, "im": 0.01, "c11": [1, -2.0], "c12": [0.0, 3]}
+        path = tmp_path / "data.json"
+        path.write_text(json.dumps({"eigenvalues": [good, {**good, **bad}], "samples": [sample], "meta": {}}))
+        with pytest.raises(SchemaError) as exc:
+            load_spectral_data(path)
+        assert str(exc.value) == message
+        assert main(["inverse", str(path)]) == 1
+        assert capsys.readouterr().err == f"schema error: {message}\n"
 
     def test_spectrum_report_roundtrip(self):
         report = SpectrumReport(

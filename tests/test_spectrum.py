@@ -93,6 +93,44 @@ class TestFindZeros:
         assert len(zeros) == 1
         assert abs(zeros[0][0] - (0.1 + 0.1j)) < 1e-8
 
+    def test_retry_pad_stays_off_the_axes(self):
+        # the corner zero sends the search to its padded retry, whose pad
+        # (about 0.006 to 0.012) is wider than the 0.005 gap to each axis
+        points = []
+
+        def fn(z):
+            z = np.asarray(z, dtype=complex)
+            points.append(z)
+            return z - (0.005 + 0.005j)
+
+        zeros = find_zeros(fn, (0.005, 2.0, 0.005, 2.0), tol=1e-10)
+        assert len(zeros) == 1
+        assert abs(zeros[0][0] - (0.005 + 0.005j)) < 1e-8
+        sampled = np.concatenate(points)
+        assert sampled.real.min() > 0 and sampled.imag.min() > 0
+
+    def test_doubling_evaluates_only_the_midpoints(self):
+        # a zero 1e-3 inside the bottom edge, midway between two first-ring
+        # samples, turns the phase by about 3 across their segment: the ring
+        # doubles once, and the doubling evaluates only its 512 new points
+        box = (0.1, 3.0, 0.1, 3.0)
+        zero = complex(0.1 + 64.5 * 2.9 / 128, 0.1 + 1e-3)
+        calls = []
+
+        def fn(z):
+            z = np.asarray(z, dtype=complex)
+            calls.append(z.size)
+            return z - zero
+
+        w, pts, vals = _winding(fn, box, 128)
+        assert w == 1
+        assert calls == [512, 512]
+        assert pts.size == 1_024
+        np.testing.assert_array_equal(pts, spectrum_module._boundary_points(box, 256))
+        np.testing.assert_array_equal(vals, fn(pts))
+        zeros = find_zeros(fn, box, tol=1e-10)
+        assert len(zeros) == 1 and abs(zeros[0][0] - zero) < 1e-9
+
     def test_identically_tiny_function_fails(self):
         fn = lambda z: (np.asarray(z, dtype=complex) - (1 + 1j)) * 1e-20
         with pytest.raises(ContourThroughZero):
@@ -233,8 +271,9 @@ class TestEigenvalues:
         # every coefficient evaluation of the search goes through the
         # coefficient_evaluators closures; quartering every box down to 1e-2
         # took 450,670 of them on this potential, searching all four
-        # quadrants with a first-moment handoff below depth 3 106,562, and
-        # the moment pencil at the root of quadrants 0 and 3 takes 4,144
+        # quadrants with a first-moment handoff below depth 3 106,562, the
+        # moment pencil at the root of quadrants 0 and 3 4,144, and a
+        # 128-point first ring with nested doublings 1,604
         evaluators = spectrum_module.coefficient_evaluators
         points = [0]
 
@@ -250,14 +289,14 @@ class TestEigenvalues:
 
         monkeypatch.setattr(spectrum_module, "coefficient_evaluators", counting)
         report = scan_spectrum(build_table(EIG_POTENTIAL, 30), EIG_POTENTIAL.beta)
-        assert points[0] <= 20_000
+        assert points[0] <= 4_000
         assert min(abs(h.lam - EIG_LAMBDA_S0) for h in report.eigenvalues) < 1e-12
 
     def test_winding_count_matches_report(self):
         table = build_table(EIG_POTENTIAL, 30)
         _c11, c12 = coefficient_evaluators(table, EIG_POTENTIAL.beta)
         box = default_sector_box(0)
-        w = _winding(lambda z: c12(z), box, 512)
+        w, _pts, _vals = _winding(lambda z: c12(z), box, 512)
         hits = find_eigenvalues(table, EIG_POTENTIAL.beta, Sector(0), box)
         assert w == sum(h.multiplicity for h in hits)
 
