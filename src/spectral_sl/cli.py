@@ -17,8 +17,8 @@ spectral-data.json    {"eigenvalues": [{"re","im","sector","multiplicity"}],
                        "samples": [{"re","im","c11":[re,im],"c12":[re,im]}],
                        "meta": {"beta_hint": <optional>, "n_max":, "A":}}
                       beta_hint is advisory; the inverse never reads it.
-                      The samples include a first-quadrant raster only
-                      with --grid-step.
+                      The samples are the points the inverse reads; a
+                      first-quadrant raster comes only with --grid-step.
 spectrum-report.json  {"eigenvalues": [{"re","im","sector","multiplicity",
                                         "coefficient_value":[re,im]}],
                        "singularities": [{"kind","n","re","im"}],
@@ -32,6 +32,7 @@ Exit codes: 0 success, 1 schema error, 2 numerical error, 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -52,18 +53,6 @@ from .inverse import (
 from .scattering import coefficient_evaluators, pole_circle
 from .solutions import eval_with_residual
 from .spectrum import SpectrumReport, EigenvalueHit, Singularity, scan_spectrum
-
-#: Offsets of the sample cluster dropped around every far-field and
-#: eigenvalue evaluation point; at least four land within the provider's
-#: interpolation radius.
-CLUSTER_OFFSETS = (
-    0.0 + 0.0j,
-    0.02 + 0.0j,
-    0.0 + 0.02j,
-    -0.02 + 0.0j,
-    0.0 - 0.02j,
-    0.015 + 0.015j,
-)
 
 #: Largest relative error of beta and q that `inverse --self-test` passes.
 SELF_TEST_TOL = 1e-6
@@ -172,6 +161,8 @@ def load_spectral_data(path) -> dict:
     _require(isinstance(data["eigenvalues"], list), "'eigenvalues' must be a list")
     _require(isinstance(data["samples"], list), "'samples' must be a list")
     _require(isinstance(data["meta"], dict), "'meta' must be an object")
+    n_max = data["meta"].get("n_max", 1)  # absent: the inverse takes --nmax
+    _require(type(n_max) is int and n_max >= 1, "meta.n_max must be an integer >= 1")
     number = (int, float)  # exact for JSON values, where bool is its own type
     for i, e in enumerate(data["eigenvalues"]):
         _require(isinstance(e, dict), f"eigenvalues[{i}] must be an object")
@@ -180,6 +171,8 @@ def load_spectral_data(path) -> dict:
         for key in ("re", "im"):
             _require(type(e[key]) in number, f"eigenvalues[{i}].{key} must be a number")
         _require(type(e["sector"]) is int and 0 <= e["sector"] <= 3, f"eigenvalues[{i}].sector must be 0..3")
+        mult = e["multiplicity"]
+        _require(type(mult) is int and mult >= 1, f"eigenvalues[{i}].multiplicity must be an integer >= 1")
     for i, s in enumerate(data["samples"]):
         # no message is formatted unless a check fails
         if type(s) is not dict:
@@ -268,11 +261,12 @@ def load_reconstruction(path) -> dict:
 def sample_points(config: RunConfig, eigenvalues) -> np.ndarray:
     """Deterministic evaluation grid for spectral-data exports.
 
-    The pole-strength circle `pole_circle(n)` around each real half-integer
-    n/2 (the inverse reads these points exactly), far-field clusters for
-    the asymptotic beta path, and clusters at +/- every sector 0 and 3
-    eigenvalue for the eigenvalue beta path; these cover each pair
-    lam, -lam once.  A raster over the first-quadrant rectangle comes
+    Exactly the points the inverse queries, each once: the pole-strength
+    circle `pole_circle(n)` around each real half-integer n/2, the
+    far-field points r * FALLBACK_DIRECTION of the asymptotic beta path,
+    and +/- every sector 0 and 3 eigenvalue for the eigenvalue beta path
+    (these cover each pair lam, -lam once): 32 n_max + 6 + (number of
+    eigenvalues) points.  A raster over the first-quadrant rectangle comes
     first, but only when ``grid_step`` is set: the inverse needs none of it.
     """
     pts: list = []
@@ -281,16 +275,10 @@ def sample_points(config: RunConfig, eigenvalues) -> np.ndarray:
         pts += [complex(re, im) for re in axis for im in axis]
     for n in range(1, config.n_max + 1):
         pts += list(pole_circle(n))
-    for r in FALLBACK_RADII:
-        center = r * FALLBACK_DIRECTION
-        for off in CLUSTER_OFFSETS:
-            pts.append(center + off)
+    pts += [r * FALLBACK_DIRECTION for r in FALLBACK_RADII]
     for lam, sector, _mult in eigenvalues:
-        if sector not in (0, 3):
-            continue  # the pair's clusters come with its sector 0 or 3 member
-        for center in (lam, -lam):
-            for off in CLUSTER_OFFSETS:
-                pts.append(center + off)
+        if sector in (0, 3):  # -lam is the pair's sector 2 or 1 member
+            pts += [lam, -lam]
     return np.asarray(pts, dtype=complex)
 
 
@@ -360,8 +348,7 @@ def cmd_inverse(config: RunConfig) -> int:
             return 2
         return 0
     provider = sampled_provider(config.inputs[0])
-    meta_n = provider.meta.get("n_max")
-    n_max = int(meta_n) if meta_n else config.n_max
+    n_max = provider.meta.get("n_max", config.n_max)  # validated by the loader
     result = reconstruct(provider, n_max=n_max, order=max(config.order, n_max))
     out = config.out if config.out.endswith(".json") else os.path.join(
         config.out, "reconstruction.json"
@@ -415,6 +402,7 @@ def cmd_eval(config: RunConfig, lam: complex, x_range, which: str) -> int:
 # --- entry point -------------------------------------------------------------
 
 
+@functools.cache  # one per process: building costs some 20-35 parses
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spectral-sl",

@@ -39,8 +39,7 @@ from .scattering import coefficient_evaluators, pole_strength, richardson_limit
 from .spectrum import scan_spectrum
 
 #: Far-field evaluation ring used by the asymptotic beta recovery; sampled
-#: exports carry dedicated clusters at these points so the fallback works
-#: through files as well.
+#: exports carry these points, so the fallback works through files too.
 FALLBACK_RADII = (50.0, 100.0, 200.0, 400.0, 800.0, 1600.0)
 FALLBACK_DIRECTION = complex(np.exp(0.25j * np.pi))
 
@@ -85,11 +84,13 @@ class AnalyticProvider:
 class SampledProvider:
     """Spectral data interpolated from point samples.
 
-    A query within 1e-13 of a sample returns it; elsewhere evaluation fits
-    a local [1/1] rational interpolant through the nearest samples (at
-    least PADE_MIN_SAMPLES within PADE_RADIUS of the query); a degree-one
-    denominator reproduces the simple poles of c11 near the half integers,
-    which plain polynomial interpolation cannot.
+    Sample points, which are all the default inverse queries, are looked up
+    by value (the first sample wins).  A batch with any other query is
+    interpolated: a query within 1e-13 of a sample returns it; elsewhere a
+    local [1/1] rational interpolant is fitted through the nearest samples
+    (at least PADE_MIN_SAMPLES within PADE_RADIUS of the query), whose
+    degree-one denominator reproduces the simple poles of c11 near the half
+    integers, which plain polynomial interpolation cannot.
     """
 
     def __init__(self, points: Sequence[complex], c11: Sequence[complex],
@@ -100,6 +101,9 @@ class SampledProvider:
         self._c12 = np.asarray(c12, dtype=complex)
         if not (self._points.shape == self._c11.shape == self._c12.shape):
             raise ValueError("points, c11 and c12 must have matching shapes")
+        self._index: dict = {}
+        for i, z in enumerate(self._points.tolist()):
+            self._index.setdefault(z, i)
         self.eigenvalues = [
             (complex(lam), int(sector), int(mult)) for lam, sector, mult in eigenvalues
         ]
@@ -124,6 +128,12 @@ class SampledProvider:
         if self._points.size == 0:
             raise InsufficientSamples("no samples available")
         queries = np.asarray(lam, dtype=complex).reshape(-1)
+        hits = [self._index.get(z) for z in queries.tolist()]
+        out = values[hits] if None not in hits else self._off_sample(values, queries)
+        return out.reshape(np.shape(lam)) if np.ndim(lam) else complex(out[0])
+
+    def _off_sample(self, values: np.ndarray, queries: np.ndarray) -> np.ndarray:
+        """values at queries of which at least one is not a sample point."""
         dist = np.abs(self._points[None, :] - queries[:, None])
         counts = np.count_nonzero(dist <= PADE_RADIUS, axis=1)
         for z, count in zip(queries, counts):
@@ -145,7 +155,7 @@ class SampledProvider:
             w = 1.0 / (1.0 + np.abs(f))
             sol, *_ = np.linalg.lstsq(rows * w[:, None], f * w, rcond=None)
             out[i] = sol[0]
-        return out.reshape(np.shape(lam)) if np.ndim(lam) else complex(out[0])
+        return out
 
     def eval_c11(self, lam):
         return self._interpolate(self._c11, lam)

@@ -89,8 +89,12 @@ class TestSchemas:
             ({"im": None}, "eigenvalues[1].im must be a number"),
             ({"re": "0.5"}, "eigenvalues[1].re must be a number"),
             ({"sector": True}, "eigenvalues[1].sector must be 0..3"),
+            ({"multiplicity": "x"}, "eigenvalues[1].multiplicity must be an integer >= 1"),
+            ({"multiplicity": -3}, "eigenvalues[1].multiplicity must be an integer >= 1"),
+            ({"multiplicity": 0}, "eigenvalues[1].multiplicity must be an integer >= 1"),
+            ({"multiplicity": True}, "eigenvalues[1].multiplicity must be an integer >= 1"),
         ],
-        ids=["null-im", "string-re", "bool-sector"],
+        ids=["null-im", "string-re", "bool-sector", "string-mult", "negative-mult", "zero-mult", "bool-mult"],
     )
     def test_eigenvalue_schema_errors(self, tmp_path, capsys, bad, message):
         good = {"re": 0.5, "im": 0.25, "sector": 0, "multiplicity": 1}
@@ -102,6 +106,17 @@ class TestSchemas:
         assert str(exc.value) == message
         assert main(["inverse", str(path)]) == 1
         assert capsys.readouterr().err == f"schema error: {message}\n"
+
+    @pytest.mark.parametrize("n_max", ["x", 2.5, 0, True], ids=["string", "float", "zero", "bool"])
+    def test_meta_n_max_schema_errors(self, tmp_path, capsys, n_max):
+        sample = {"re": 0.5, "im": 0.01, "c11": [1, -2.0], "c12": [0.0, 3]}
+        path = tmp_path / "data.json"
+        path.write_text(json.dumps({"eigenvalues": [], "samples": [sample], "meta": {"n_max": n_max}}))
+        with pytest.raises(SchemaError) as exc:
+            load_spectral_data(path)
+        assert str(exc.value) == "meta.n_max must be an integer >= 1"
+        assert main(["inverse", str(path)]) == 1
+        assert capsys.readouterr().err == "schema error: meta.n_max must be an integer >= 1\n"
 
     def test_spectrum_report_roundtrip(self):
         report = SpectrumReport(
@@ -188,9 +203,9 @@ class TestExportRaster:
         plain = load_spectral_data(exports / "plain" / "spectral-data.json")
         n_eig = len(plain["eigenvalues"])
         assert n_eig == 6
-        # the pole-strength circle at each n/2, far-field clusters, clusters
-        # at +/- one member of each eigenvalue pair lam, -lam
-        assert len(plain["samples"]) == 32 * 6 + 6 * len(FALLBACK_RADII) + 6 * n_eig
+        # the pole-strength circle at each n/2, the far-field points, and
+        # +/- one member of each eigenvalue pair lam, -lam
+        assert len(plain["samples"]) == 32 * 6 + len(FALLBACK_RADII) + n_eig
         raster = load_spectral_data(exports / "raster" / "spectral-data.json")
         side = len(np.arange(0.1, 6.0 + 1e-12, 0.5))
         tail = raster["samples"][side * side:]
@@ -208,6 +223,21 @@ class TestExportRaster:
         analytic = recover_diagonal(AnalyticProvider(EIG_POTENTIAL, 30), 6)
         for a, b in zip(from_file, analytic):
             assert abs(a - b) <= 1e-13 * abs(b)
+
+    def test_default_inverse_never_interpolates(self, exports, tmp_path, monkeypatch):
+        # the raster export holds the same points, evaluated in another batch
+        ref_out, out = tmp_path / "raster.json", tmp_path / "plain.json"
+        assert main(["inverse", str(exports / "raster" / "spectral-data.json"), "--out", str(ref_out)]) == 0
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("the [1/1] fit ran")
+
+        monkeypatch.setattr(np.linalg, "lstsq", no_fit)
+        assert main(["inverse", str(exports / "plain" / "spectral-data.json"), "--out", str(out)]) == 0
+        got, ref = load_reconstruction(out), load_reconstruction(ref_out)
+        assert abs(got["beta"] - ref["beta"]) <= 1e-12 * abs(ref["beta"])
+        for a, b in zip(got["q"], ref["q"]):
+            assert abs(complex(*a) - complex(*b)) <= 1e-12 * max(1.0, abs(complex(*b)))
 
     def test_inverse_of_default_export(self, exports, tmp_path):
         out = tmp_path / "rec.json"

@@ -187,7 +187,16 @@ class TestSampledProvider:
         pts = [1 + 1j, 2 + 2j, 3 + 3j]
         prov = SampledProvider(pts, [1.0] * 3, [1.0] * 3, [])
         with pytest.raises(InsufficientSamples):
-            prov.eval_c12(1 + 1j)  # only one sample within the radius
+            prov.eval_c12(1.001 + 1j)  # off-sample, only one sample within the radius
+
+    def test_exact_hit_needs_no_neighbours(self):
+        pts = [1 + 1j, 2 + 2j, 3 + 3j, 1 + 1j]
+        vals = [0.1 + 0.7j, 0.2 - 0.3j, 1 / 3 + 1e-300j, 9.0]
+        prov = SampledProvider(pts, vals, vals, [])
+        assert prov.eval_c11(3 + 3j) == vals[2]
+        # the first of two samples at one point wins
+        got = prov.eval_c12(np.array([2 + 2j, 1 + 1j]))
+        assert got.tolist() == [vals[1], vals[0]]
 
     def test_dense_patch_fidelity(self):
         p = FourierPotential(beta=1.0, q=(1.0,))
@@ -228,6 +237,7 @@ class TestSampledProvider:
     def test_farfield_clusters_cover_fallback_ring(self):
         config = RunConfig(command="forward", inputs=[], grid_step=0.5)
         pts = sample_points(config, [])
+        # the asymptotic beta path queries exactly these points
+        listed = pts.tolist()
         for r in FALLBACK_RADII:
-            center = r * FALLBACK_DIRECTION
-            assert np.sum(np.abs(pts - center) <= 0.1) >= 4
+            assert r * FALLBACK_DIRECTION in listed
