@@ -52,7 +52,7 @@ from .inverse import (
 )
 from .scattering import coefficient_evaluators, pole_circle
 from .solutions import eval_with_residual
-from .spectrum import SpectrumReport, EigenvalueHit, Singularity, scan_spectrum
+from .spectrum import SpectrumReport, scan_spectrum
 
 #: Largest relative error of beta and q that `inverse --self-test` passes.
 SELF_TEST_TOL = 1e-6
@@ -88,14 +88,21 @@ def _require(cond: bool, msg: str):
         raise SchemaError(msg)
 
 
-def _as_pair(obj, what: str) -> complex:
-    _require(
-        isinstance(obj, (list, tuple))
-        and len(obj) == 2
-        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in obj),
-        f"{what} must be a [re, im] pair of numbers",
-    )
-    return complex(obj[0], obj[1])
+_NUMBER = (int, float)  # exact for JSON values, where bool is its own type
+
+
+def _non_numeric(obj, numbers=(), pairs=()):
+    """The first key of ``numbers`` whose value in obj is not a JSON number,
+    else the first of ``pairs`` whose value is not an [re, im] list of two,
+    else None.  One call checks a whole record and formats nothing."""
+    for key in numbers:
+        if type(obj[key]) not in _NUMBER:
+            return key
+    for key in pairs:
+        v = obj[key]
+        if not (type(v) is list and len(v) == 2 and type(v[0]) in _NUMBER and type(v[1]) in _NUMBER):
+            return key
+    return None
 
 
 def _load_json(path):
@@ -117,14 +124,12 @@ def _write_json(path, obj):
 def load_potential(path) -> FourierPotential:
     data = _load_json(path)
     _require(isinstance(data, dict), "potential file must hold a JSON object")
-    _require(
-        "beta" in data and isinstance(data["beta"], (int, float)) and not isinstance(data["beta"], bool),
-        "potential file needs a numeric 'beta'",
-    )
+    _require("beta" in data and _non_numeric(data, ("beta",)) is None, "potential file needs a numeric 'beta'")
     _require("q" in data and isinstance(data["q"], list), "potential file needs a 'q' list")
-    harmonics = [_as_pair(c, f"q[{i}]") for i, c in enumerate(data["q"])]
+    bad = _non_numeric(data["q"], pairs=range(len(data["q"])))
+    _require(bad is None, f"q[{bad}] must be a [re, im] pair of numbers")
     try:
-        return FourierPotential(beta=float(data["beta"]), q=tuple(harmonics))
+        return FourierPotential(beta=float(data["beta"]), q=tuple(complex(*c) for c in data["q"]))
     except ValueError as exc:
         raise SchemaError(str(exc)) from exc
 
@@ -163,13 +168,12 @@ def load_spectral_data(path) -> dict:
     _require(isinstance(data["meta"], dict), "'meta' must be an object")
     n_max = data["meta"].get("n_max", 1)  # absent: the inverse takes --nmax
     _require(type(n_max) is int and n_max >= 1, "meta.n_max must be an integer >= 1")
-    number = (int, float)  # exact for JSON values, where bool is its own type
     for i, e in enumerate(data["eigenvalues"]):
         _require(isinstance(e, dict), f"eigenvalues[{i}] must be an object")
         for key in ("re", "im", "sector", "multiplicity"):
             _require(key in e, f"eigenvalues[{i}] is missing '{key}'")
-        for key in ("re", "im"):
-            _require(type(e[key]) in number, f"eigenvalues[{i}].{key} must be a number")
+        bad = _non_numeric(e, ("re", "im"))
+        _require(bad is None, f"eigenvalues[{i}].{bad} must be a number")
         _require(type(e["sector"]) is int and 0 <= e["sector"] <= 3, f"eigenvalues[{i}].sector must be 0..3")
         mult = e["multiplicity"]
         _require(type(mult) is int and mult >= 1, f"eigenvalues[{i}].multiplicity must be an integer >= 1")
@@ -180,13 +184,10 @@ def load_spectral_data(path) -> dict:
         for key in ("re", "im", "c11", "c12"):
             if key not in s:
                 raise SchemaError(f"samples[{i}] is missing '{key}'")
-        for key in ("re", "im"):
-            if type(s[key]) not in number:
-                raise SchemaError(f"samples[{i}].{key} must be a number")
-        for key in ("c11", "c12"):
-            v = s[key]
-            if not (type(v) is list and len(v) == 2 and type(v[0]) in number and type(v[1]) in number):
-                raise SchemaError(f"samples[{i}].{key} must be a [re, im] pair of numbers")
+        bad = _non_numeric(s, ("re", "im"), ("c11", "c12"))
+        if bad is not None:
+            what = "a number" if bad in ("re", "im") else "a [re, im] pair of numbers"
+            raise SchemaError(f"samples[{i}].{bad} must be {what}")
     return data
 
 
@@ -213,46 +214,12 @@ def spectrum_report_to_dict(report: SpectrumReport) -> dict:
     }
 
 
-def spectrum_report_from_dict(data: dict) -> SpectrumReport:
-    _require(isinstance(data, dict), "spectrum report must be a JSON object")
-    for key in ("eigenvalues", "singularities", "continuous_spectrum"):
-        _require(key in data, f"spectrum report is missing '{key}'")
-    eigenvalues = [
-        EigenvalueHit(
-            lam=complex(h["re"], h["im"]),
-            sector=int(h["sector"]),
-            multiplicity=int(h["multiplicity"]),
-            coefficient_value=_as_pair(h["coefficient_value"], "coefficient_value"),
-        )
-        for h in data["eigenvalues"]
-    ]
-    singularities = [
-        Singularity(kind=s["kind"], n=int(s["n"]), value=complex(s["re"], s["im"]))
-        for s in data["singularities"]
-    ]
-    return SpectrumReport(
-        eigenvalues=eigenvalues,
-        singularities=singularities,
-        continuous_spectrum=data["continuous_spectrum"],
-    )
-
-
 def reconstruction_to_dict(result) -> dict:
     return {
         "beta": result.beta,
         "q": [[c.real, c.imag] for c in result.q],
         "diagnostics": result.diagnostics,
     }
-
-
-def load_reconstruction(path) -> dict:
-    data = _load_json(path)
-    _require(isinstance(data, dict), "reconstruction must be a JSON object")
-    for key in ("beta", "q", "diagnostics"):
-        _require(key in data, f"reconstruction is missing '{key}'")
-    for i, c in enumerate(data["q"]):
-        _as_pair(c, f"q[{i}]")
-    return data
 
 
 # --- sampling plan for exports ---------------------------------------------
@@ -282,15 +249,16 @@ def sample_points(config: RunConfig, eigenvalues) -> np.ndarray:
     return np.asarray(pts, dtype=complex)
 
 
-def _forward_products(config: RunConfig, potential: FourierPotential):
+def _scan(config: RunConfig, potential: FourierPotential):
+    """The potential's table and its spectrum report."""
     table = build_table(potential, config.order)
-    report = scan_spectrum(
-        table,
-        potential.beta,
-        n_max=config.n_max,
-        tol=config.tol,
-        seed=config.seed,
+    return table, scan_spectrum(
+        table, potential.beta, n_max=config.n_max, tol=config.tol, seed=config.seed
     )
+
+
+def _forward_products(config: RunConfig, potential: FourierPotential):
+    table, report = _scan(config, potential)
     eigenvalues = [(h.lam, h.sector, h.multiplicity) for h in report.eigenvalues]
     points = sample_points(config, eigenvalues)
     c11_fn, c12_fn = coefficient_evaluators(table, potential.beta)
@@ -317,16 +285,9 @@ def cmd_forward(config: RunConfig) -> int:
 
 
 def cmd_spectrum(config: RunConfig) -> int:
-    potential = load_potential(config.inputs[0])
-    table = build_table(potential, config.order)
-    report = scan_spectrum(
-        table, potential.beta, n_max=config.n_max, tol=config.tol, seed=config.seed
-    )
+    _table, report = _scan(config, load_potential(config.inputs[0]))
     os.makedirs(config.out, exist_ok=True)
-    _write_json(
-        os.path.join(config.out, "spectrum-report.json"),
-        spectrum_report_to_dict(report),
-    )
+    _write_json(os.path.join(config.out, "spectrum-report.json"), spectrum_report_to_dict(report))
     return 0
 
 

@@ -73,10 +73,6 @@ class TailReport:
     tail_estimate: float
     converged: bool
 
-    @property
-    def total(self) -> float:
-        return self.stored + self.tail_estimate
-
 
 class CoefficientTable:
     """Immutable triangular array V[n, a], 1 <= n <= a <= order.
@@ -84,8 +80,8 @@ class CoefficientTable:
     Entries are stored in a dense complex matrix; position [n-1, a-1] holds
     V[n, a] and everything below the diagonal is zero.  Everything the
     series evaluation needs that does not depend on x or lambda (the live
-    rows, the row sums at x = 0, the tail estimate) is computed once here,
-    so a table can be shared between threads without locking.
+    rows, the row sums at x = 0) is computed once here, so a table can be
+    shared between threads without locking.
     """
 
     def __init__(self, entries: np.ndarray):
@@ -105,7 +101,6 @@ class CoefficientTable:
         #: the row sums at x = 0, where every connection coefficient is taken.
         ia = 1j * np.arange(1, entries.shape[0] + 1)
         self.zero_sums = (entries @ np.ones_like(ia), entries @ ia)
-        self._tail = tail_report(self, warn=False)
 
     @property
     def order(self) -> int:
@@ -122,11 +117,6 @@ class CoefficientTable:
 
     def diagonal(self) -> np.ndarray:
         return np.diagonal(self._entries).copy()
-
-    @property
-    def tail_estimate(self) -> float:
-        """Projected dropped-tail contribution of the weighted norm."""
-        return self._tail.tail_estimate
 
 
 def build_table(potential: FourierPotential, order: int = 30) -> CoefficientTable:
@@ -196,17 +186,6 @@ def recurrence_residuals(table: CoefficientTable, harmonics: Sequence[complex]) 
     return r_offdiag, r_colsum
 
 
-def _column_contributions(table: CoefficientTable) -> np.ndarray:
-    """a * sum_n |V[n, a]| / n for each column a."""
-    idx = np.arange(1, table.order + 1, dtype=float)
-    return (np.abs(table.entries) / idx[:, None]).sum(axis=0) * idx
-
-
-def tail_weight(table: CoefficientTable) -> float:
-    """Stored part of the weighted norm sum_n (1/n) sum_a a |V[n, a]|."""
-    return float(_column_contributions(table).sum())
-
-
 def tail_report(table: CoefficientTable, warn: bool = True) -> TailReport:
     """Weighted norm plus a geometric projection of the dropped columns.
 
@@ -215,7 +194,8 @@ def tail_report(table: CoefficientTable, warn: bool = True) -> TailReport:
     estimate is reported as non-converged (a warning, never an error: the
     recursion itself is always well defined).
     """
-    contrib = _column_contributions(table)
+    idx = np.arange(1, table.order + 1, dtype=float)
+    contrib = (np.abs(table.entries) / idx[:, None]).sum(axis=0) * idx  # a sum_n |V[n, a]| / n
     stored = float(contrib.sum())
     window = contrib[-5:]
     if not np.all((window[1:] < window[:-1]) | (window[1:] == 0.0)):

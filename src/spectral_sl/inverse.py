@@ -85,12 +85,12 @@ class SampledProvider:
     """Spectral data interpolated from point samples.
 
     Sample points, which are all the default inverse queries, are looked up
-    by value (the first sample wins).  A batch with any other query is
-    interpolated: a query within 1e-13 of a sample returns it; elsewhere a
-    local [1/1] rational interpolant is fitted through the nearest samples
-    (at least PADE_MIN_SAMPLES within PADE_RADIUS of the query), whose
-    degree-one denominator reproduces the simple poles of c11 near the half
-    integers, which plain polynomial interpolation cannot.
+    by value (the first sample wins), whatever else their batch holds.  Any
+    other query is interpolated: one within 1e-13 of a sample returns it;
+    elsewhere a local [1/1] rational interpolant is fitted through the
+    nearest samples (at least PADE_MIN_SAMPLES within PADE_RADIUS of the
+    query), whose degree-one denominator reproduces the simple poles of c11
+    near the half integers, which plain polynomial interpolation cannot.
     """
 
     def __init__(self, points: Sequence[complex], c11: Sequence[complex],
@@ -129,11 +129,16 @@ class SampledProvider:
             raise InsufficientSamples("no samples available")
         queries = np.asarray(lam, dtype=complex).reshape(-1)
         hits = [self._index.get(z) for z in queries.tolist()]
-        out = values[hits] if None not in hits else self._off_sample(values, queries)
+        if None in hits:
+            misses = [i for i, h in enumerate(hits) if h is None]
+            out = values[[0 if h is None else h for h in hits]]
+            out[misses] = self._off_sample(values, queries[misses])
+        else:
+            out = values[hits]
         return out.reshape(np.shape(lam)) if np.ndim(lam) else complex(out[0])
 
     def _off_sample(self, values: np.ndarray, queries: np.ndarray) -> np.ndarray:
-        """values at queries of which at least one is not a sample point."""
+        """values at queries none of which is a sample point."""
         dist = np.abs(self._points[None, :] - queries[:, None])
         counts = np.count_nonzero(dist <= PADE_RADIUS, axis=1)
         for z, count in zip(queries, counts):
@@ -171,8 +176,9 @@ def sampled_provider(path) -> SampledProvider:
     return SampledProvider.from_dict(load_spectral_data(path))
 
 
-def recover_diagonal(provider, n_max: int, return_flags: bool = False):
-    """Diagonal entries V[n, n] for n = 1 ... n_max from pole strengths.
+def recover_diagonal(provider, n_max: int) -> tuple[list, list]:
+    """Diagonal entries V[n, n] for n = 1 ... n_max from pole strengths,
+    and for each a flag that is False where its estimate was rejected.
 
     Each is read on `scattering.pole_circle(n)`, which a spectral-data file
     samples exactly, so a sampled provider answers without interpolating.
@@ -190,7 +196,7 @@ def recover_diagonal(provider, n_max: int, return_flags: bool = False):
         except ExtrapolationDivergence:
             values.append(0.0 + 0.0j)
             flags.append(False)
-    return (values, flags) if return_flags else values
+    return values, flags
 
 
 def _beta_from_eigenvalues(provider, eigenvalues) -> complex:
@@ -215,9 +221,9 @@ def recover_beta(provider, imag_tol: float = 1e-6) -> float:
 
     Uses i c11(lam_n) c11(-lam_n) averaged over the first-quadrant
     eigenvalues when any exist; otherwise extrapolates the large-lambda
-    limit of c12 along the first-quadrant diagonal.  An estimate with a
-    non-negligible imaginary part (or a non-positive real part) means the
-    data is inconsistent and raises NonRealBeta.
+    limit of c12 along the first-quadrant diagonal.  An estimate that is
+    not finite, or has a non-positive real part or a non-negligible
+    imaginary part, means the data is inconsistent and raises NonRealBeta.
     """
     s0_eigs = [e for e in provider.eigenvalues if e[1] == 0]
     est = None
@@ -230,10 +236,10 @@ def recover_beta(provider, imag_tol: float = 1e-6) -> float:
             raise NoData(
                 "no eigenvalues and no far-field samples for the asymptotic path"
             ) from exc
+    if not (np.isfinite(est) and est.real > 0.0):
+        raise NonRealBeta(f"recovered beta {est} is not finite with a positive real part")
     if abs(est.imag) >= imag_tol:
         raise NonRealBeta(f"recovered beta {est} has imaginary part >= {imag_tol}")
-    if est.real <= 0.0:
-        raise NonRealBeta(f"recovered beta {est} is not positive")
     return float(est.real)
 
 
@@ -248,7 +254,7 @@ def reconstruct(provider, n_max: int, order: int | None = None) -> Reconstructio
         order = max(n_max, 30)
     if n_max > order:
         raise ValueError("n_max must not exceed the truncation order")
-    diag, flags = recover_diagonal(provider, n_max, return_flags=True)
+    diag, flags = recover_diagonal(provider, n_max)
     table = table_from_diagonal(diag)
     q = harmonics_from_table(table)
     beta = recover_beta(provider)

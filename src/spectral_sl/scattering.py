@@ -72,7 +72,7 @@ def _coefficients(table: CoefficientTable, beta: float, lam, names, pole_tol=Non
     branches = {}
     for which in sorted({b for name in names for b in _WRONSKIAN_PAIRS[name]}):
         k, scale = _exponent(which, lam, beta)
-        f, df, _dist = _series(table, k, 0.0, scale, pole_tol)
+        f, df = _series(table, k, 0.0, scale, pole_tol)
         branches[which] = SolutionSample(f, df)
     out = []
     for name in names:
@@ -198,11 +198,3 @@ def pole_strength(c11_fn: Callable, c12_fn: Callable, n: int, rel_tol: float = 1
         raise ExtrapolationDivergence(f"pole strength at n={n} did not settle: {half} vs {full}")
     return complex(full)
 
-
-def c11_pole_strength(table: CoefficientTable, beta: float, n: int) -> complex:
-    """Pole strength of c11/c12 at n/2 evaluated through the forward model;
-    equals the table diagonal entry V[n, n]."""
-    if not 1 <= n <= table.order:
-        raise ValueError(f"require 1 <= n <= {table.order}")
-    c11_fn, c12_fn = coefficient_evaluators(table, beta)
-    return pole_strength(c11_fn, c12_fn, n)

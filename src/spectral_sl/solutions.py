@@ -39,40 +39,13 @@ from .errors import PoleProximity
 #: refused and the caller must use the scaled limit `eval_fn_limit`.
 POLE_TOL = 1e-6
 
-_TINY = 1e-300
-
 
 @dataclass(frozen=True)
 class SolutionSample:
-    """Value and derivative of a solution at one (x, lambda), plus a crude
-    bound on the series-truncation contribution."""
+    """Value and derivative of a solution at one (x, lambda)."""
 
     value: complex
     derivative: complex
-    truncation_error: float = 0.0
-
-    def __post_init__(self):
-        if self.truncation_error < 0.0:
-            raise ValueError("truncation_error must be non-negative")
-
-
-def pole_distance_f1(lam: complex, order: int, branch: str = "+") -> float:
-    """Distance from lam to the pole lattice of the f1 series.
-
-    The plus branch has simple poles at lam = -n/2, the minus branch at
-    lam = +n/2, n = 1 ... order.
-    """
-    sign = -1.0 if branch == "+" else 1.0
-    n = np.arange(1, order + 1)
-    return float(np.min(np.abs(lam - sign * n / 2.0)))
-
-
-def pole_distance_f2(lam: complex, beta: float, order: int, branch: str = "+") -> float:
-    """Distance from lam to the pole lattice of the f2 series: -in/(2 beta)
-    for the plus branch, +in/(2 beta) for the minus branch."""
-    sign = -1.0 if branch == "+" else 1.0
-    n = np.arange(1, order + 1)
-    return float(np.min(np.abs(lam - sign * 1j * n / (2.0 * beta))))
 
 
 def _exponent(which: str, lam, beta: float):
@@ -90,7 +63,7 @@ def _exponent(which: str, lam, beta: float):
 def _series(table: CoefficientTable, k, x, scale: float = 1.0,
             pole_tol: float | None = POLE_TOL, second: bool = False) -> tuple:
     """f(x; k), its x-derivative and, with ``second``, its second
-    x-derivative, followed by the pole distance.
+    x-derivative.
 
     The contraction order follows the shape of k.  An array of exponents is
     taken at the stored x = 0 only (value and slope), through the row sums
@@ -100,31 +73,29 @@ def _series(table: CoefficientTable, k, x, scale: float = 1.0,
     Horner's rule in z = e^{ix}, elementwise (a point's bits do not depend
     on the rest of x) and in O(len(x)) memory; the results are shaped like x.
 
-    The distance, an array shaped like k, is measured in the lam plane (the
-    k-distance divided by ``scale``) from each k to the nearest pole
-    k = -in/2 of a live row; it is infinite for a table with no live row.
-    Raises PoleProximity when a distance is below ``pole_tol``; with
-    pole_tol=None nothing is guarded and an array of exponents gets None.
+    Raises PoleProximity when some k is closer than ``pole_tol`` to a pole
+    k = -in/2 of a live row, the distance measured in the lam plane (the
+    k-distance divided by ``scale``); with pole_tol=None nothing is guarded.
     """
     many = np.ndim(k) > 0
     k = np.atleast_1d(np.asarray(k, dtype=complex))
     rows = table.live_rows
-    # n - 2ik = -2i (k + in/2), so the weights' own denominators give the
-    # pole distance
     denom = (rows + 1.0)[:, None] - 2j * k
-    dist = None if many and pole_tol is None else (
-        np.min(np.abs(denom), axis=0, initial=np.inf) / (2.0 * scale))
-    if pole_tol is not None and np.any(dist < pole_tol):
-        raise PoleProximity(
-            f"lambda is {dist.min():.3g} from a pole of the series (tolerance {pole_tol})"
-        )
+    if pole_tol is not None:
+        # n - 2ik = -2i (k + in/2), so the weights' own denominators give the
+        # pole distance
+        dist = np.min(np.abs(denom), axis=0, initial=np.inf) / (2.0 * scale)
+        if np.any(dist < pole_tol):
+            raise PoleProximity(
+                f"lambda is {dist.min():.3g} from a pole of the series (tolerance {pole_tol})"
+            )
     w = np.divide(1.0, denom, out=denom)
     if many:
         if second or x != 0:
             raise ValueError("an array of exponents is evaluated only at x = 0, value and slope")
         g, dg = (sums[rows] @ w for sums in table.zero_sums)
         g = 1.0 + g
-        return g, k * g + dg, dist  # e^{kx} = 1 at x = 0
+        return g, k * g + dg  # e^{kx} = 1 at x = 0
     k = k[0]
     x = np.atleast_1d(x)
     ia = 1j * np.arange(1, table.order + 1)
@@ -140,15 +111,14 @@ def _series(table: CoefficientTable, k, x, scale: float = 1.0,
     derivs = [e * g, e * (k * g + dg)]
     if second:
         derivs.append(e * (k * k * g + 2.0 * k * dg + d2g[0]))
-    return (*derivs, dist)
+    return tuple(derivs)
 
 
 def _sample(table: CoefficientTable, beta: float, which: str, lam, x, pole_tol) -> SolutionSample:
-    """One branch at one (x, lam), with the tail estimate over the pole
-    distance as its truncation bound."""
+    """One branch at one (x, lam)."""
     k, scale = _exponent(which, complex(lam), beta)
-    f, df, dist = _series(table, k, x, scale, pole_tol)
-    return SolutionSample(complex(f[0]), complex(df[0]), table.tail_estimate / max(float(dist[0]), _TINY))
+    f, df = _series(table, k, x, scale, pole_tol)
+    return SolutionSample(complex(f[0]), complex(df[0]))
 
 
 def eval_f1(
@@ -213,7 +183,7 @@ def eval_with_residual(potential: FourierPotential, table: CoefficientTable, lam
     lam = complex(lam)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     k, scale = _exponent(which, lam, potential.beta)
-    f, df, f2d, _dist = _series(table, k, x, scale, pole_tol, second=True)
+    f, df, f2d = _series(table, k, x, scale, pole_tol, second=True)
     rho = np.where(x >= 0, 1.0, -(potential.beta**2))
     return f, df, -f2d + potential.at(x) * f - lam * lam * rho * f
 
@@ -252,11 +222,7 @@ def _continued(table: CoefficientTable, beta: float, lam: complex, x: float,
         (a, b), family = matching_coefficients_f1(table, beta, lam, pole_tol), "f2"
     sp = _sample(table, beta, family + "+", lam, x, pole_tol)
     sm = _sample(table, beta, family + "-", lam, x, pole_tol)
-    return SolutionSample(
-        a * sp.value + b * sm.value,
-        a * sp.derivative + b * sm.derivative,
-        abs(a) * sp.truncation_error + abs(b) * sm.truncation_error,
-    )
+    return SolutionSample(a * sp.value + b * sm.value, a * sp.derivative + b * sm.derivative)
 
 
 def extend_across_zero(

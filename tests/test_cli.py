@@ -16,10 +16,8 @@ from spectral_sl import (
 from spectral_sl import cli
 from spectral_sl.cli import (
     load_potential,
-    load_reconstruction,
     load_spectral_data,
     main,
-    spectrum_report_from_dict,
     spectrum_report_to_dict,
 )
 from spectral_sl.inverse import FALLBACK_RADII, ReconstructionResult, recover_diagonal
@@ -53,6 +51,29 @@ class TestSchemas:
         path.write_text("not json")
         with pytest.raises(SchemaError):
             load_potential(path)
+
+    # q[0] is good, q[1] bad; forward exits 1 before any file is written
+    @pytest.mark.parametrize(
+        "beta, q1, message",
+        [
+            (True, [1.0, 0.0], "potential file needs a numeric 'beta'"),
+            ("1.0", [1.0, 0.0], "potential file needs a numeric 'beta'"),
+            (1.0, [True, 0.0], "q[1] must be a [re, im] pair of numbers"),
+            (1.0, ["1", 0.0], "q[1] must be a [re, im] pair of numbers"),
+            (1.0, [1.0, 0.0, 2.0], "q[1] must be a [re, im] pair of numbers"),
+        ],
+        ids=["bool-beta", "string-beta", "bool-q", "string-q", "three-q"],
+    )
+    def test_potential_schema_messages(self, tmp_path, capsys, beta, q1, message):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"beta": beta, "q": [[0.5, -1], q1]}))
+        with pytest.raises(SchemaError) as exc:
+            load_potential(path)
+        assert str(exc.value) == message
+        out = tmp_path / "out"
+        assert main(["forward", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"schema error: {message}\n"
+        assert not out.exists()
 
     # a sample list whose first bad entry is index 1; index 3 is bad too
     @pytest.mark.parametrize(
@@ -118,17 +139,20 @@ class TestSchemas:
         assert main(["inverse", str(path)]) == 1
         assert capsys.readouterr().err == "schema error: meta.n_max must be an integer >= 1\n"
 
-    def test_spectrum_report_roundtrip(self):
+    def test_spectrum_report_to_dict(self):
         report = SpectrumReport(
             eigenvalues=[
                 EigenvalueHit(lam=0.5 + 0.25j, sector=0, multiplicity=2, coefficient_value=1e-14 + 0j)
             ],
             singularities=[Singularity(kind="real", n=1, value=0.5 + 0j)],
         )
-        back = spectrum_report_from_dict(spectrum_report_to_dict(report))
-        assert back.eigenvalues == report.eigenvalues
-        assert back.singularities == report.singularities
-        assert back.continuous_spectrum == report.continuous_spectrum
+        assert spectrum_report_to_dict(report) == {
+            "eigenvalues": [
+                {"re": 0.5, "im": 0.25, "sector": 0, "multiplicity": 2, "coefficient_value": [1e-14, 0.0]}
+            ],
+            "singularities": [{"kind": "real", "n": 1, "re": 0.5, "im": 0.0}],
+            "continuous_spectrum": "axes Re lambda = 0 and Im lambda = 0",
+        }
 
 
 class TestWriter:
@@ -174,7 +198,7 @@ class TestForwardCommand:
         write_potential(pot, 1.0, [1.0])
         assert main(["forward", str(pot), "--out", str(tmp_path), "--nmax", "2", "--grid-step", "0.5"]) == 0
         prov = sampled_provider(tmp_path / "spectral-data.json")
-        diag = recover_diagonal(prov, 1)
+        diag, _flags = recover_diagonal(prov, 1)
         assert abs(diag[0] - (-1.0)) < 1e-6
 
     def test_byte_determinism(self, tmp_path):
@@ -219,8 +243,8 @@ class TestExportRaster:
     def test_file_diagonal_matches_analytic(self, exports):
         # the file holds the pole-strength circles exactly, so the diagonal
         # read from it agrees with the forward model's to rounding
-        from_file = recover_diagonal(sampled_provider(exports / "plain" / "spectral-data.json"), 6)
-        analytic = recover_diagonal(AnalyticProvider(EIG_POTENTIAL, 30), 6)
+        from_file, _flags = recover_diagonal(sampled_provider(exports / "plain" / "spectral-data.json"), 6)
+        analytic, _flags = recover_diagonal(AnalyticProvider(EIG_POTENTIAL, 30), 6)
         for a, b in zip(from_file, analytic):
             assert abs(a - b) <= 1e-13 * abs(b)
 
@@ -234,7 +258,7 @@ class TestExportRaster:
 
         monkeypatch.setattr(np.linalg, "lstsq", no_fit)
         assert main(["inverse", str(exports / "plain" / "spectral-data.json"), "--out", str(out)]) == 0
-        got, ref = load_reconstruction(out), load_reconstruction(ref_out)
+        got, ref = json.loads(out.read_text()), json.loads(ref_out.read_text())
         assert abs(got["beta"] - ref["beta"]) <= 1e-12 * abs(ref["beta"])
         for a, b in zip(got["q"], ref["q"]):
             assert abs(complex(*a) - complex(*b)) <= 1e-12 * max(1.0, abs(complex(*b)))
@@ -242,7 +266,7 @@ class TestExportRaster:
     def test_inverse_of_default_export(self, exports, tmp_path):
         out = tmp_path / "rec.json"
         assert main(["inverse", str(exports / "plain" / "spectral-data.json"), "--out", str(out)]) == 0
-        rec = load_reconstruction(out)
+        rec = json.loads(out.read_text())
         assert abs(rec["beta"] - EIG_POTENTIAL.beta) < 1e-6
         for n, pair in enumerate(rec["q"], start=1):
             assert abs(complex(*pair) - EIG_POTENTIAL.harmonic(n)) < 1e-6 * max(1.0, abs(EIG_POTENTIAL.harmonic(n)))
@@ -255,7 +279,7 @@ class TestInverseCommand:
         assert main(["forward", str(pot), "--out", str(tmp_path), "--nmax", "3", "--grid-step", "0.25"]) == 0
         rec_path = tmp_path / "reconstruction.json"
         assert main(["inverse", str(tmp_path / "spectral-data.json"), "--out", str(rec_path)]) == 0
-        rec = load_reconstruction(rec_path)
+        rec = json.loads(rec_path.read_text())
         assert abs(rec["beta"] - 1.0) < 1e-4
         assert abs(complex(*rec["q"][0]) - 1.0) < 1e-4
         for pair in rec["q"][1:]:
@@ -292,6 +316,25 @@ class TestInverseCommand:
         write_potential(pot, 1.0, [1.0])
         assert main(["inverse", "--self-test", str(pot), "--nmax", "2"]) == 2
         assert "self-test error above" in capsys.readouterr().err
+
+    def test_nan_eigenvalue_samples_exit_two(self, tmp_path, capsys):
+        # NaN passes neither side of a comparison: beta = NaN must not be
+        # written as a result
+        pot = tmp_path / "p.json"
+        write_potential(pot, EIG_POTENTIAL.beta, EIG_POTENTIAL.q)
+        assert main(["forward", str(pot), "--out", str(tmp_path)]) == 0
+        path = tmp_path / "spectral-data.json"
+        data = json.loads(path.read_text())
+        eigs = {complex(e["re"], e["im"]) for e in data["eigenvalues"]}
+        assert eigs
+        for s in data["samples"]:
+            if complex(s["re"], s["im"]) in eigs:
+                s["c11"] = [float("nan"), float("nan")]
+        path.write_text(json.dumps(data))
+        out = tmp_path / "rec.json"
+        assert main(["inverse", str(path), "--out", str(out)]) == 2
+        assert "numerical error" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_malformed_file_exits_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -13,7 +13,6 @@ from spectral_sl import (
     recurrence_residuals,
     table_from_diagonal,
     tail_report,
-    tail_weight,
 )
 
 from .conftest import Q1_TABLE_3, random_potential
@@ -186,18 +185,18 @@ class TestHarmonicsFromTable:
 
 class TestTailWeight:
     def test_zero_table(self, zero_table):
-        assert tail_weight(zero_table) == 0.0
         rep = tail_report(zero_table)
+        assert rep.stored == 0.0
         assert rep.tail_estimate == 0.0 and rep.converged
 
     def test_single_harmonic_stored_value(self):
         t = build_table(FourierPotential(beta=1.0, q=(1.0,)), 3)
-        assert abs(tail_weight(t) - 37.0 / 12.0) < 1e-14
+        assert abs(tail_report(t, warn=False).stored - 37.0 / 12.0) < 1e-14
 
     def test_monotone_and_convergent_in_order(self):
         rng = np.random.default_rng(31)
         p = random_potential(rng, max_harmonics=3)
-        values = [tail_weight(build_table(p, a)) for a in (5, 10, 20, 30)]
+        values = [tail_report(build_table(p, a), warn=False).stored for a in (5, 10, 20, 30)]
         assert all(values[i + 1] >= values[i] for i in range(3))
         assert values[3] - values[2] < 1e-9 * max(1.0, values[3])
 
@@ -207,5 +206,5 @@ class TestTailWeight:
             rep = tail_report(t)
         assert not rep.converged
         assert rep.tail_estimate == math.inf
-        # the float entry point still returns the stored part
-        assert math.isfinite(tail_weight(t))
+        # the stored part is still reported
+        assert math.isfinite(rep.stored)

@@ -55,12 +55,12 @@ class SyntheticProvider:
 class TestRecoverDiagonal:
     def test_free_potential(self):
         prov = AnalyticProvider(FourierPotential(beta=1.0, q=()), 10)
-        diag = recover_diagonal(prov, 3)
+        diag, _flags = recover_diagonal(prov, 3)
         assert max(abs(v) for v in diag) < 1e-10
 
     def test_single_harmonic(self):
         prov = AnalyticProvider(FourierPotential(beta=1.0, q=(1.0,)), 30)
-        diag = recover_diagonal(prov, 3)
+        diag, _flags = recover_diagonal(prov, 3)
         expect = (-1.0, -0.5, -1.0 / 12.0)
         for got, ref in zip(diag, expect):
             assert abs(got - ref) < 1e-8
@@ -69,7 +69,7 @@ class TestRecoverDiagonal:
         rng = np.random.default_rng(51)
         p = random_potential(rng, max_harmonics=4)
         prov = AnalyticProvider(p, 30)
-        diag = recover_diagonal(prov, 4)
+        diag, _flags = recover_diagonal(prov, 4)
         for n, got in enumerate(diag, start=1):
             truth = prov.table.entry(n, n)
             assert abs(got - truth) < 1e-7 * max(1.0, abs(truth))
@@ -167,8 +167,8 @@ class TestReconstructAnalytic:
             eval_c11 = staticmethod(lambda lam: np.conj(prov.eval_c11(np.conj(lam))))
             eval_c12 = staticmethod(lambda lam: np.conj(prov.eval_c12(np.conj(lam))))
 
-        diag = recover_diagonal(prov, 1)
-        diag_conj = recover_diagonal(Conjugated(), 1)
+        diag, _flags = recover_diagonal(prov, 1)
+        diag_conj, _flags = recover_diagonal(Conjugated(), 1)
         assert abs(diag[0] - diag_conj[0]) > 0.1
 
     def test_nmax_order_validation(self):
@@ -197,6 +197,19 @@ class TestSampledProvider:
         # the first of two samples at one point wins
         got = prov.eval_c12(np.array([2 + 2j, 1 + 1j]))
         assert got.tolist() == [vals[1], vals[0]]
+
+    def test_exact_hit_beside_an_off_sample_query(self):
+        # a lone sample far from the dense patch is answered by lookup even
+        # when the batch also holds a query that needs the [1/1] fit
+        table = build_table(FourierPotential(beta=1.0, q=(1.0,)), 30)
+        c11_fn, c12_fn = coefficient_evaluators(table, 1.0)
+        axis = 1.0 + 0.02 * np.arange(11)
+        pts = np.array([complex(a, b) for a in axis for b in axis] + [5 + 5j])
+        prov = SampledProvider(pts, c11_fn(pts), c12_fn(pts), [])
+        off = 1.111 + 1.1j
+        got = prov.eval_c11(np.array([5 + 5j, off]))
+        assert got.tolist() == [c11_fn(5 + 5j), prov.eval_c11(off)]
+        assert abs(got[1] - c11_fn(off)) < 1e-6
 
     def test_dense_patch_fidelity(self):
         p = FourierPotential(beta=1.0, q=(1.0,))

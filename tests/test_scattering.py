@@ -9,7 +9,6 @@ from spectral_sl import (
     PoleProximity,
     ZeroWavenumber,
     build_table,
-    c11_pole_strength,
     coefficient_evaluators,
     connection_coefficients,
     eval_f1,
@@ -147,11 +146,11 @@ class TestCoefficientRoutes:
 
 class TestPoleStrength:
     def test_free_case_has_no_pole(self, zero_table):
-        assert abs(c11_pole_strength(zero_table, 1.0, 1)) < 1e-10
+        assert abs(pole_strength(*coefficient_evaluators(zero_table, 1.0), 1)) < 1e-10
 
     @pytest.mark.parametrize("n,expect", [(1, -1.0), (3, -1.0 / 12.0)])
     def test_single_harmonic_diagonal(self, q1_table_30, n, expect):
-        got = c11_pole_strength(q1_table_30, 1.0, n)
+        got = pole_strength(*coefficient_evaluators(q1_table_30, 1.0), n)
         assert abs(got - expect) < 1e-8
 
     def test_matches_diagonal_for_random_potentials(self):
@@ -159,7 +158,7 @@ class TestPoleStrength:
         p = random_potential(rng, max_harmonics=4)
         t = build_table(p, 30)
         for n in (1, 2, 3, 4):
-            got = c11_pole_strength(t, p.beta, n)
+            got = pole_strength(*coefficient_evaluators(t, p.beta), n)
             assert abs(got - t.entry(n, n)) < 1e-7 * max(1.0, abs(t.entry(n, n)))
 
     @pytest.mark.parametrize(
@@ -184,5 +183,5 @@ class TestPoleStrength:
         table = build_table(potential, 30)
         for n in range(1, 7):
             truth = exact[(n, n)].to_complex()
-            got = c11_pole_strength(table, beta, n)
+            got = pole_strength(*coefficient_evaluators(table, beta), n)
             assert abs(got - truth) <= 1e-12 * abs(truth)

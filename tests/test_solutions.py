@@ -29,7 +29,6 @@ class TestFreeSolutions:
                 s = eval_f1(zero_table, lam, x, "+")
                 assert abs(s.value - np.exp(1j * lam * x)) < 1e-14
                 assert abs(s.derivative - 1j * lam * np.exp(1j * lam * x)) < 1e-14
-                assert s.truncation_error == 0.0
 
     def test_f2_is_real_exponential(self, zero_table):
         beta = 1.7
@@ -100,14 +99,6 @@ class TestSeriesValues:
             eval_f1(q1_table_30, 1.5 + 1e-8j, 0.2, "-")
         with pytest.raises(PoleProximity):
             eval_f2(q1_table_30, 2.0, -1j / 4.0 + 1e-9, 0.2, "+")
-
-    def test_pole_distances(self):
-        from spectral_sl.solutions import pole_distance_f1, pole_distance_f2
-
-        assert abs(pole_distance_f1(-0.5 + 0.1j, 10, "+") - 0.1) < 1e-15
-        assert abs(pole_distance_f1(1.0, 10, "-")) < 1e-15
-        assert abs(pole_distance_f2(0.2 - 0.25j, 2.0, 10, "+") - 0.2) < 1e-15
-        assert abs(pole_distance_f2(0.25j, 2.0, 10, "-")) < 1e-15
 
 
 class TestWronskians:
