@@ -17,8 +17,7 @@ spectral-data.json    {"eigenvalues": [{"re","im","sector","multiplicity"}],
                        "samples": [{"re","im","c11":[re,im],"c12":[re,im]}],
                        "meta": {"beta_hint": <optional>, "n_max":, "A":}}
                       beta_hint is advisory; the inverse never reads it.
-                      The samples are the points the inverse reads; a
-                      first-quadrant raster comes only with --grid-step.
+                      The samples are exactly the points the inverse reads.
 spectrum-report.json  {"eigenvalues": [{"re","im","sector","multiplicity",
                                         "coefficient_value":[re,im]}],
                        "singularities": [{"kind","n","re","im"}],
@@ -68,9 +67,6 @@ class RunConfig:
     n_max: int = 6
     tol: float = 1e-9
     out: str = "."
-    seed: int = 0
-    grid_step: float | None = None
-    grid_max: float = 6.0
     self_test: str | None = None
 
     def __post_init__(self):
@@ -89,14 +85,18 @@ def _require(cond: bool, msg: str):
 
 
 _NUMBER = (int, float)  # exact for JSON values, where bool is its own type
+_FLOAT_MAX = sys.float_info.max
 
 
 def _non_numeric(obj, numbers=(), pairs=()):
-    """The first key of ``numbers`` whose value in obj is not a JSON number,
-    else the first of ``pairs`` whose value is not an [re, im] list of two,
-    else None.  One call checks a whole record and formats nothing."""
+    """The first key of ``numbers`` whose value in obj is not a finite JSON
+    number (Python's json also reads NaN and Infinity, and 1e400 as inf),
+    else the first of ``pairs`` whose value is not an [re, im] list of two
+    numbers, finite or not, else None.  One call checks a whole record and formats
+    nothing."""
     for key in numbers:
-        if type(obj[key]) not in _NUMBER:
+        v = obj[key]
+        if type(v) not in _NUMBER or not abs(v) <= _FLOAT_MAX:
             return key
     for key in pairs:
         v = obj[key]
@@ -113,12 +113,26 @@ def _load_json(path):
         raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
 
 
-def _write_json(path, obj):
-    text = json.dumps(obj, ensure_ascii=True) + "\n"  # C encoder, unlike dump; no .tmp on failure
+def _out_path(out: str, name: str) -> str:
+    """``out`` itself when it ends in name's suffix, else ``out``/name; the
+    directory it lies in is created."""
+    path = out if out.endswith(os.path.splitext(name)[1]) else os.path.join(out, name)
+    parent = os.path.dirname(path)
+    if parent:
+        os.makedirs(parent, exist_ok=True)
+    return path
+
+
+def _write_text(path, text: str):
     tmp = f"{path}.tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
         fh.write(text)
     os.replace(tmp, path)
+
+
+def _write_json(path, obj):
+    # the C encoder, unlike dump; a failed encoding leaves no .tmp behind
+    _write_text(path, json.dumps(obj, ensure_ascii=True) + "\n")
 
 
 def load_potential(path) -> FourierPotential:
@@ -226,20 +240,16 @@ def reconstruction_to_dict(result) -> dict:
 
 
 def sample_points(config: RunConfig, eigenvalues) -> np.ndarray:
-    """Deterministic evaluation grid for spectral-data exports.
+    """Deterministic sample points of a spectral-data export.
 
     Exactly the points the inverse queries, each once: the pole-strength
     circle `pole_circle(n)` around each real half-integer n/2, the
     far-field points r * FALLBACK_DIRECTION of the asymptotic beta path,
     and +/- every sector 0 and 3 eigenvalue for the eigenvalue beta path
     (these cover each pair lam, -lam once): 32 n_max + 6 + (number of
-    eigenvalues) points.  A raster over the first-quadrant rectangle comes
-    first, but only when ``grid_step`` is set: the inverse needs none of it.
+    eigenvalues) points.
     """
     pts: list = []
-    if config.grid_step is not None:
-        axis = np.arange(0.1, config.grid_max + 1e-12, config.grid_step)
-        pts += [complex(re, im) for re in axis for im in axis]
     for n in range(1, config.n_max + 1):
         pts += list(pole_circle(n))
     pts += [r * FALLBACK_DIRECTION for r in FALLBACK_RADII]
@@ -252,9 +262,7 @@ def sample_points(config: RunConfig, eigenvalues) -> np.ndarray:
 def _scan(config: RunConfig, potential: FourierPotential):
     """The potential's table and its spectrum report."""
     table = build_table(potential, config.order)
-    return table, scan_spectrum(
-        table, potential.beta, n_max=config.n_max, tol=config.tol, seed=config.seed
-    )
+    return table, scan_spectrum(table, potential.beta, n_max=config.n_max, tol=config.tol)
 
 
 def _forward_products(config: RunConfig, potential: FourierPotential):
@@ -311,13 +319,7 @@ def cmd_inverse(config: RunConfig) -> int:
     provider = sampled_provider(config.inputs[0])
     n_max = provider.meta.get("n_max", config.n_max)  # validated by the loader
     result = reconstruct(provider, n_max=n_max, order=max(config.order, n_max))
-    out = config.out if config.out.endswith(".json") else os.path.join(
-        config.out, "reconstruction.json"
-    )
-    parent = os.path.dirname(out)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    _write_json(out, reconstruction_to_dict(result))
+    _write_json(_out_path(config.out, "reconstruction.json"), reconstruction_to_dict(result))
     return 0
 
 
@@ -342,21 +344,13 @@ def _parse_range(text: str):
 def cmd_eval(config: RunConfig, lam: complex, x_range, which: str) -> int:
     potential = load_potential(config.inputs[0])
     table = build_table(potential, config.order)
-    out = config.out if config.out.endswith(".csv") else os.path.join(
-        config.out, "solution.csv"
-    )
-    parent = os.path.dirname(out)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
+    out = _out_path(config.out, "solution.csv")
     f, df, res = eval_with_residual(potential, table, lam, x_range, which)
     lines = ["x,re,im,d_re,d_im,ode_residual_abs"]
     # Python abs per row: the residual column must not depend on the grid
     for x, v, d, r in zip(x_range.tolist(), f.tolist(), df.tolist(), res.tolist()):
         lines.append(f"{x!r},{v.real!r},{v.imag!r},{d.real!r},{d.imag!r},{abs(r)!r}")
-    tmp = f"{out}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-    os.replace(tmp, out)
+    _write_text(out, "\n".join(lines) + "\n")
     return 0
 
 
@@ -379,19 +373,13 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--nmax", type=int, default=6, help="number of recovered harmonics / singular points")
         p.add_argument("--tol", type=float, default=1e-9, help="eigenvalue localisation tolerance")
         p.add_argument("--out", default=".", help="output directory or file")
-        p.add_argument("--seed", type=int, default=0, help="seed for search jitter")
 
     for name, text in (
         ("forward", "spectral data + spectrum report from a potential"),
         ("export-spectral-data", "spectral data only"),
+        ("spectrum", "spectrum report only"),
     ):
-        p = sub.add_parser(name, help=text)
-        common(p)
-        p.add_argument("--grid-step", type=float, help="raster step of an optional first-quadrant sample grid")
-        p.add_argument("--grid-max", type=float, default=6.0, help="raster extent of the sample grid")
-
-    p = sub.add_parser("spectrum", help="spectrum report only")
-    common(p)
+        common(sub.add_parser(name, help=text))
 
     p = sub.add_parser("inverse", help="reconstruct (beta, q) from spectral data")
     common(p, needs_input=False)
@@ -420,9 +408,6 @@ def _config_from_args(args) -> RunConfig:
         n_max=args.nmax,
         tol=args.tol,
         out=args.out,
-        seed=args.seed,
-        grid_step=getattr(args, "grid_step", None),
-        grid_max=getattr(args, "grid_max", 6.0),
         self_test=getattr(args, "self_test", None),
     )
 

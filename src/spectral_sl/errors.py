@@ -44,7 +44,7 @@ class NoData(SpectralError):
 
 
 class InsufficientSamples(SpectralError):
-    """A sampled data set has too few points near the requested evaluation."""
+    """A sampled data set holds no sample at the requested point."""
 
 
 class SchemaError(Exception):

@@ -43,11 +43,6 @@ from .spectrum import scan_spectrum
 FALLBACK_RADII = (50.0, 100.0, 200.0, 400.0, 800.0, 1600.0)
 FALLBACK_DIRECTION = complex(np.exp(0.25j * np.pi))
 
-#: Local rational interpolation: samples this close to a query are required.
-PADE_RADIUS = 0.1
-PADE_MIN_SAMPLES = 4
-PADE_MAX_SAMPLES = 12
-
 
 @dataclass
 class ReconstructionResult:
@@ -82,27 +77,24 @@ class AnalyticProvider:
 
 
 class SampledProvider:
-    """Spectral data interpolated from point samples.
+    """Spectral data read from point samples.
 
-    Sample points, which are all the default inverse queries, are looked up
-    by value (the first sample wins), whatever else their batch holds.  Any
-    other query is interpolated: one within 1e-13 of a sample returns it;
-    elsewhere a local [1/1] rational interpolant is fitted through the
-    nearest samples (at least PADE_MIN_SAMPLES within PADE_RADIUS of the
-    query), whose degree-one denominator reproduces the simple poles of c11
-    near the half integers, which plain polynomial interpolation cannot.
+    A query is answered only by the sample stored at that exact point (the
+    first of two at one point wins), whatever else its batch holds; a query
+    with none raises InsufficientSamples.  A spectral-data export holds
+    every point the inverse reads.
     """
 
     def __init__(self, points: Sequence[complex], c11: Sequence[complex],
                  c12: Sequence[complex], eigenvalues: Sequence[tuple] = (),
                  meta: dict | None = None):
-        self._points = np.asarray(points, dtype=complex)
+        points = np.asarray(points, dtype=complex)
         self._c11 = np.asarray(c11, dtype=complex)
         self._c12 = np.asarray(c12, dtype=complex)
-        if not (self._points.shape == self._c11.shape == self._c12.shape):
+        if not (points.shape == self._c11.shape == self._c12.shape):
             raise ValueError("points, c11 and c12 must have matching shapes")
         self._index: dict = {}
-        for i, z in enumerate(self._points.tolist()):
+        for i, z in enumerate(points.tolist()):
             self._index.setdefault(z, i)
         self.eigenvalues = [
             (complex(lam), int(sector), int(mult)) for lam, sector, mult in eigenvalues
@@ -124,43 +116,13 @@ class SampledProvider:
         )
 
     def _interpolate(self, values: np.ndarray, lam):
-        """values at lam, a scalar or an array, by the rules of the class."""
-        if self._points.size == 0:
-            raise InsufficientSamples("no samples available")
-        queries = np.asarray(lam, dtype=complex).reshape(-1)
-        hits = [self._index.get(z) for z in queries.tolist()]
+        """values at lam, a scalar or an array, each looked up by its point."""
+        queries = np.asarray(lam, dtype=complex).reshape(-1).tolist()
+        hits = [self._index.get(z) for z in queries]
         if None in hits:
-            misses = [i for i, h in enumerate(hits) if h is None]
-            out = values[[0 if h is None else h for h in hits]]
-            out[misses] = self._off_sample(values, queries[misses])
-        else:
-            out = values[hits]
+            raise InsufficientSamples(f"no sample at {queries[hits.index(None)]}")
+        out = values[hits]
         return out.reshape(np.shape(lam)) if np.ndim(lam) else complex(out[0])
-
-    def _off_sample(self, values: np.ndarray, queries: np.ndarray) -> np.ndarray:
-        """values at queries none of which is a sample point."""
-        dist = np.abs(self._points[None, :] - queries[:, None])
-        counts = np.count_nonzero(dist <= PADE_RADIUS, axis=1)
-        for z, count in zip(queries, counts):
-            if count < PADE_MIN_SAMPLES:
-                raise InsufficientSamples(
-                    f"{count} samples within {PADE_RADIUS} of {complex(z)}, "
-                    f"need {PADE_MIN_SAMPLES}"
-                )
-        out = values[np.argmin(dist, axis=1)]
-        for i in np.nonzero(np.min(dist, axis=1) >= 1e-13)[0]:
-            inside = np.nonzero(dist[i] <= PADE_RADIUS)[0]
-            nearest = inside[np.argsort(dist[i, inside])][:PADE_MAX_SAMPLES]
-            d = self._points[nearest] - queries[i]
-            f = values[nearest]
-            ds = d / np.max(np.abs(d))
-            # f ~ (a + b d)/(1 + c d): linearise to a + b d - c d f = f and
-            # normalise rows so huge near-pole samples do not swamp the fit
-            rows = np.stack([np.ones_like(ds), ds, -ds * f], axis=1)
-            w = 1.0 / (1.0 + np.abs(f))
-            sol, *_ = np.linalg.lstsq(rows * w[:, None], f * w, rcond=None)
-            out[i] = sol[0]
-        return out
 
     def eval_c11(self, lam):
         return self._interpolate(self._c11, lam)
@@ -181,9 +143,10 @@ def recover_diagonal(provider, n_max: int) -> tuple[list, list]:
     and for each a flag that is False where its estimate was rejected.
 
     Each is read on `scattering.pole_circle(n)`, which a spectral-data file
-    samples exactly, so a sampled provider answers without interpolating.
-    A harmonic whose circle estimate is rejected is reported as zero and
-    flagged; recovery of the remaining harmonics continues.
+    samples exactly; a file without one of its points raises
+    InsufficientSamples.  A harmonic whose circle estimate is rejected is
+    reported as zero and flagged; recovery of the remaining harmonics
+    continues.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")

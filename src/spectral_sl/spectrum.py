@@ -193,13 +193,18 @@ def _pencil_zeros(fn: Callable, pts, vals, box, w: int, tol: float):
     return zeros
 
 
+#: Split fractions (real, imaginary) of a quartered box, tried in turn when
+#: a child's contour passes through a zero; dyadic, so a retried child's
+#: edges still lie on its parent's winding ring.
+SPLITS = ((0.5, 0.5), (7 / 16, 9 / 16), (9 / 16, 7 / 16))
+
+
 def find_zeros(
     fn: Callable,
     box,
     tol: float = 1e-9,
     per_edge: int = 128,
     max_depth: int = 12,
-    seed: int = 0,
 ) -> list:
     """Zeros (with multiplicity) of an analytic function inside a rectangle.
 
@@ -211,7 +216,6 @@ def find_zeros(
     quartered, so multiple zeros and windings > 4 reach the leaf size.
     ``fn`` must accept complex numpy arrays.
     """
-    rng = np.random.default_rng(seed)
 
     def recurse(b, depth):
         if depth > max_depth:
@@ -228,11 +232,9 @@ def find_zeros(
             return [(_newton_polish(fn, center, tol)[0], w)]
         if w <= 4 and (zeros := _pencil_zeros(fn, pts, vals, b, w, tol)) is not None:
             return [(z, 1) for z in zeros]
-        for attempt in range(3):
-            # split lines are jittered so a zero sitting exactly on the
-            # midline cannot poison all four children
-            fr = 0.5 + (attempt > 0) * (rng.random() - 0.5) * 0.2
-            fi = 0.5 + (attempt > 0) * (rng.random() - 0.5) * 0.2
+        for attempt, (fr, fi) in enumerate(SPLITS):
+            # each fraction is used by one split only, so one zero lies on
+            # the lines of at most two of the three splits
             rm = re_lo + fr * (re_hi - re_lo)
             im = im_lo + fi * (im_hi - im_lo)
             quads = [
@@ -247,7 +249,7 @@ def find_zeros(
                     out.extend(recurse(qb, depth + 1))
                 return out
             except ContourThroughZero:
-                if attempt == 2:
+                if attempt == len(SPLITS) - 1:
                     raise
 
     try:
@@ -255,7 +257,7 @@ def find_zeros(
     except ContourThroughZero:
         # one retry with a slightly inflated box, whose sides stay off the axes
         re_lo, re_hi, im_lo, im_hi = box
-        pad = 3e-3 * max(re_hi - re_lo, im_hi - im_lo) * (1.0 + rng.random())
+        pad = 4.5e-3 * max(re_hi - re_lo, im_hi - im_lo)
         lo = lambda v: max(v - pad, 0.25 * v) if v > 0 else v - pad
         hi = lambda v: min(v + pad, 0.25 * v) if v < 0 else v + pad
         raw = recurse((lo(re_lo), hi(re_hi), lo(im_lo), hi(im_hi)), 0)
@@ -298,7 +300,6 @@ def find_eigenvalues(
     sector: Sector,
     box=None,
     tol: float = 1e-9,
-    seed: int = 0,
 ) -> list:
     """Eigenvalues inside one quadrant rectangle, with multiplicities."""
     if box is None:
@@ -312,7 +313,7 @@ def find_eigenvalues(
     ) < DEFAULT_MARGIN - 1e-12:
         raise ValueError("box must stay at least 0.1 away from the axes")
     fn = sector_coefficient_fn(table, beta, sector.k)
-    zeros = find_zeros(fn, box, tol=tol, seed=seed)
+    zeros = find_zeros(fn, box, tol=tol)
     return [
         EigenvalueHit(lam=z, sector=sector.k, multiplicity=m, coefficient_value=complex(fn(z)))
         for z, m in zeros
@@ -324,7 +325,6 @@ def scan_spectrum(
     beta: float,
     n_max: int = 6,
     tol: float = 1e-9,
-    seed: int = 0,
 ) -> SpectrumReport:
     """Search half the spectral plane and list the singular-point candidates.
 
@@ -335,7 +335,7 @@ def scan_spectrum(
     """
     eigenvalues = []
     for k in (0, 3):
-        for hit in find_eigenvalues(table, beta, Sector(k), tol=tol, seed=seed):
+        for hit in find_eigenvalues(table, beta, Sector(k), tol=tol):
             mirror = EigenvalueHit(-hit.lam, (k + 2) % 4, hit.multiplicity, hit.coefficient_value)
             eigenvalues += [hit, mirror]
     eigenvalues.sort(key=lambda h: (h.lam.real, h.lam.imag))

@@ -218,7 +218,7 @@ def test_criterion_6_inverse_roundtrip(tmp_path):
             if abs(res.q[n - 1] - truth) > 1e-6 * max(1.0, abs(truth)):
                 problems.append(f"case {case}: analytic q_{n} error")
         # file path: export the sampled data, read it back, reconstruct
-        config = RunConfig(command="forward", inputs=[], order=30, n_max=5, grid_step=0.3)
+        config = RunConfig(command="forward", inputs=[], order=30, n_max=5)
         pts = sample_points(config, analytic.eigenvalues)
         data = spectral_data_to_dict(
             analytic.eigenvalues,
@@ -278,7 +278,7 @@ def test_criterion_9_determinism(tmp_path):
     problems = []
     pot = tmp_path / "p.json"
     pot.write_text(json.dumps({"beta": 1.0, "q": [[1.0, 0.0]]}))
-    args = ["forward", str(pot), "--nmax", "3", "--grid-step", "0.25", "--seed", "3"]
+    args = ["forward", str(pot), "--nmax", "3"]
     outs = []
     for run in ("r1", "r2"):
         out = tmp_path / run

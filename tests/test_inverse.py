@@ -10,8 +10,6 @@ from spectral_sl import (
     NoData,
     NonRealBeta,
     SampledProvider,
-    build_table,
-    coefficient_evaluators,
     recover_beta,
     recover_diagonal,
     reconstruct,
@@ -22,12 +20,10 @@ from spectral_sl.inverse import FALLBACK_DIRECTION, FALLBACK_RADII
 from .conftest import EIG_POTENTIAL, random_potential
 
 
-def make_sampled(potential, n_max=5, grid_step=0.3, analytic=None):
+def make_sampled(potential, n_max=5, analytic=None):
     """File-grade sample set for a potential, returned as a provider."""
     prov = analytic or AnalyticProvider(potential, 30)
-    config = RunConfig(
-        command="forward", inputs=[], order=30, n_max=n_max, grid_step=grid_step
-    )
+    config = RunConfig(command="forward", inputs=[], order=30, n_max=n_max)
     pts = sample_points(config, prov.eigenvalues)
     return SampledProvider(pts, prov.eval_c11(pts), prov.eval_c12(pts), prov.eigenvalues)
 
@@ -183,11 +179,12 @@ class TestSampledProvider:
         with pytest.raises(InsufficientSamples):
             prov.eval_c12(1 + 1j)
 
-    def test_too_sparse_neighbourhood(self):
+    def test_off_sample_query_names_the_point(self):
         pts = [1 + 1j, 2 + 2j, 3 + 3j]
         prov = SampledProvider(pts, [1.0] * 3, [1.0] * 3, [])
-        with pytest.raises(InsufficientSamples):
-            prov.eval_c12(1.001 + 1j)  # off-sample, only one sample within the radius
+        # a query next to a sample, in a batch with exact hits, is not answered
+        with pytest.raises(InsufficientSamples, match=r"^no sample at \(1\.001\+1j\)$"):
+            prov.eval_c12(np.array([1 + 1j, 1.001 + 1j, 2.5 + 2j]))
 
     def test_exact_hit_needs_no_neighbours(self):
         pts = [1 + 1j, 2 + 2j, 3 + 3j, 1 + 1j]
@@ -197,32 +194,6 @@ class TestSampledProvider:
         # the first of two samples at one point wins
         got = prov.eval_c12(np.array([2 + 2j, 1 + 1j]))
         assert got.tolist() == [vals[1], vals[0]]
-
-    def test_exact_hit_beside_an_off_sample_query(self):
-        # a lone sample far from the dense patch is answered by lookup even
-        # when the batch also holds a query that needs the [1/1] fit
-        table = build_table(FourierPotential(beta=1.0, q=(1.0,)), 30)
-        c11_fn, c12_fn = coefficient_evaluators(table, 1.0)
-        axis = 1.0 + 0.02 * np.arange(11)
-        pts = np.array([complex(a, b) for a in axis for b in axis] + [5 + 5j])
-        prov = SampledProvider(pts, c11_fn(pts), c12_fn(pts), [])
-        off = 1.111 + 1.1j
-        got = prov.eval_c11(np.array([5 + 5j, off]))
-        assert got.tolist() == [c11_fn(5 + 5j), prov.eval_c11(off)]
-        assert abs(got[1] - c11_fn(off)) < 1e-6
-
-    def test_dense_patch_fidelity(self):
-        p = FourierPotential(beta=1.0, q=(1.0,))
-        table = build_table(p, 30)
-        c11_fn, c12_fn = coefficient_evaluators(table, 1.0)
-        axis = np.arange(1.0, 1.6001, 0.01)
-        pts = np.array([complex(a, b) for a in axis for b in axis])
-        prov = SampledProvider(pts, c11_fn(pts), c12_fn(pts), [])
-        rng = np.random.default_rng(3)
-        for _ in range(25):
-            z = complex(rng.uniform(1.1, 1.5), rng.uniform(1.1, 1.5))
-            assert abs(prov.eval_c12(z) - c12_fn(z)) < 1e-8
-            assert abs(prov.eval_c11(z) - c11_fn(z)) < 1e-8
 
     def test_exact_hit_returns_sample(self):
         pts = [1 + 1j, 1.01 + 1j, 1 + 1.01j, 1.01 + 1.01j]
@@ -248,7 +219,7 @@ class TestSampledProvider:
         assert abs(res.q[0] - (4 + 4j)) < 1e-4
 
     def test_farfield_clusters_cover_fallback_ring(self):
-        config = RunConfig(command="forward", inputs=[], grid_step=0.5)
+        config = RunConfig(command="forward", inputs=[])
         pts = sample_points(config, [])
         # the asymptotic beta path queries exactly these points
         listed = pts.tolist()

@@ -87,7 +87,7 @@ class TestFindZeros:
         assert abs(z - (1 + 1j)) < 1e-6
 
     def test_boundary_zero_is_retried(self):
-        # zero exactly on the initial contour: the jittered retry recovers it
+        # zero exactly on the initial contour: the padded retry recovers it
         fn = lambda z: np.asarray(z, dtype=complex) - (0.1 + 0.1j)
         zeros = find_zeros(fn, (0.1, 2.0, 0.1, 2.0), tol=1e-10)
         assert len(zeros) == 1
@@ -95,7 +95,8 @@ class TestFindZeros:
 
     def test_retry_pad_stays_off_the_axes(self):
         # the corner zero sends the search to its padded retry, whose pad
-        # (about 0.006 to 0.012) is wider than the 0.005 gap to each axis
+        # (4.5e-3 of the 1.995 side, about 0.009) is wider than the 0.005
+        # gap to each axis
         points = []
 
         def fn(z):
@@ -130,6 +131,29 @@ class TestFindZeros:
         np.testing.assert_array_equal(vals, fn(pts))
         zeros = find_zeros(fn, box, tol=1e-10)
         assert len(zeros) == 1 and abs(zeros[0][0] - zero) < 1e-9
+
+    def test_double_zero_at_the_centre_takes_the_second_split(self, monkeypatch):
+        # the zero lies on both midlines of the root box, so the children of
+        # the (1/2, 1/2) split pass through it; the (7/16, 9/16) split keeps
+        # it inside one child, which is quartered down to a leaf
+        boxes = []
+        winding = spectrum_module._winding
+
+        def spy(fn, box, per_edge):
+            boxes.append(box)
+            return winding(fn, box, per_edge)
+
+        monkeypatch.setattr(spectrum_module, "_winding", spy)
+        centre = 1.55 + 1.55j
+        fn = lambda z: (np.asarray(z, dtype=complex) - centre) ** 2
+        zeros = find_zeros(fn, (0.1, 3.0, 0.1, 3.0), tol=1e-9)
+        assert len(zeros) == 1
+        z, mult = zeros[0]
+        assert mult == 2
+        assert abs(z - centre) < 1e-6
+        rm, im = (0.1 + f * (3.0 - 0.1) for f in (7 / 16, 9 / 16))
+        assert (rm, 3.0, 0.1, im) in boxes
+        assert not any(b[0] == 0.1 + 9 / 16 * (3.0 - 0.1) for b in boxes[1:])
 
     def test_identically_tiny_function_fails(self):
         fn = lambda z: (np.asarray(z, dtype=complex) - (1 + 1j)) * 1e-20
@@ -182,7 +206,7 @@ class TestFindZeros:
 
     def test_three_zeros_from_one_winding_count(self):
         # the root box winds three times and its moment pencil hands all
-        # three zeros to Newton: one 2,048-point winding count plus Newton
+        # three zeros to Newton: one 512-point winding count plus Newton
         roots = (0.7 + 0.4j, 1.9 + 2.2j, 2.5 + 0.9j)
         points = [0]
 
@@ -192,7 +216,7 @@ class TestFindZeros:
             return (z - roots[0]) * (z - roots[1]) * (z - roots[2])
 
         zeros = find_zeros(fn, (0.1, 3.0, 0.1, 3.0), tol=1e-10)
-        assert points[0] <= 2_048 + 300
+        assert points[0] <= 512 + 300
         assert [m for _z, m in zeros] == [1, 1, 1]
         for (z, _m), root in zip(zeros, roots):
             assert abs(z - root) < 1e-10
