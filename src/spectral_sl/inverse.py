@@ -12,7 +12,8 @@ proceeds in four steps:
      the point spectrum is empty, from the large-lambda limit of c12.
 
 Providers may wrap the analytic forward model or a sampled data file; the
-extraction code only ever calls their evaluators.
+extraction code only ever calls their evaluators, each time on an array of
+points, and reads an array of values back.
 """
 
 from __future__ import annotations
@@ -30,18 +31,19 @@ from .coeffs import (
     table_from_diagonal,
 )
 from .errors import (
-    ExtrapolationDivergence,
     InsufficientSamples,
     NoData,
     NonRealBeta,
 )
-from .scattering import coefficient_evaluators, pole_strength, richardson_limit
+from .scattering import coefficient_evaluators, pole_strengths, richardson_limit
 from .spectrum import scan_spectrum
 
 #: Far-field evaluation ring used by the asymptotic beta recovery; sampled
 #: exports carry these points, so the fallback works through files too.
 FALLBACK_RADII = (50.0, 100.0, 200.0, 400.0, 800.0, 1600.0)
 FALLBACK_DIRECTION = complex(np.exp(0.25j * np.pi))
+#: The far-field points r * FALLBACK_DIRECTION, in the order of FALLBACK_RADII.
+FALLBACK_POINTS = np.array([r * FALLBACK_DIRECTION for r in FALLBACK_RADII])
 
 
 @dataclass
@@ -93,9 +95,8 @@ class SampledProvider:
         self._c12 = np.asarray(c12, dtype=complex)
         if not (points.shape == self._c11.shape == self._c12.shape):
             raise ValueError("points, c11 and c12 must have matching shapes")
-        self._index: dict = {}
-        for i, z in enumerate(points.tolist()):
-            self._index.setdefault(z, i)
+        # built back to front, so the first index of a repeated point wins
+        self._index = dict(zip(points.tolist()[::-1], range(len(points) - 1, -1, -1)))
         self.eigenvalues = [
             (complex(lam), int(sector), int(mult)) for lam, sector, mult in eigenvalues
         ]
@@ -104,12 +105,16 @@ class SampledProvider:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SampledProvider":
-        """Provider for the contents of a spectral-data file (see `cli`)."""
-        samples = data["samples"]
+        """Provider for the contents of a spectral-data file (see `cli`): the
+        sample columns `cli.load_spectral_data` checked, else those of
+        `cli.sample_columns`."""
+        from .cli import sample_columns
+
+        points, c11, c12 = data.get("columns") or sample_columns(data["samples"])
         return cls(
-            [complex(s["re"], s["im"]) for s in samples],
-            [complex(*s["c11"]) for s in samples],
-            [complex(*s["c12"]) for s in samples],
+            points,
+            c11,
+            c12,
             [(complex(e["re"], e["im"]), e["sector"], e["multiplicity"])
              for e in data["eigenvalues"]],
             data["meta"],
@@ -118,9 +123,10 @@ class SampledProvider:
     def _interpolate(self, values: np.ndarray, lam):
         """values at lam, a scalar or an array, each looked up by its point."""
         queries = np.asarray(lam, dtype=complex).reshape(-1).tolist()
-        hits = [self._index.get(z) for z in queries]
-        if None in hits:
-            raise InsufficientSamples(f"no sample at {queries[hits.index(None)]}")
+        try:
+            hits = np.fromiter(map(self._index.__getitem__, queries), np.intp, len(queries))
+        except KeyError as missing:  # the first query without a sample
+            raise InsufficientSamples(f"no sample at {missing.args[0]}") from None
         out = values[hits]
         return out.reshape(np.shape(lam)) if np.ndim(lam) else complex(out[0])
 
@@ -142,39 +148,30 @@ def recover_diagonal(provider, n_max: int) -> tuple[list, list]:
     """Diagonal entries V[n, n] for n = 1 ... n_max from pole strengths,
     and for each a flag that is False where its estimate was rejected.
 
-    Each is read on `scattering.pole_circle(n)`, which a spectral-data file
-    samples exactly; a file without one of its points raises
-    InsufficientSamples.  A harmonic whose circle estimate is rejected is
-    reported as zero and flagged; recovery of the remaining harmonics
-    continues.
+    All n_max circles `scattering.pole_circle(n)`, which a spectral-data
+    file samples exactly, are read in one c12 and one c11 call; a file
+    without one of their points raises InsufficientSamples.  A harmonic
+    whose circle estimate is rejected is reported as zero and flagged; the
+    other harmonics keep theirs.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    values = []
-    flags = []
-    for n in range(1, n_max + 1):
-        try:
-            values.append(pole_strength(provider.eval_c11, provider.eval_c12, n))
-            flags.append(True)
-        except ExtrapolationDivergence:
-            values.append(0.0 + 0.0j)
-            flags.append(False)
-    return values, flags
+    values, reasons = pole_strengths(provider.eval_c11, provider.eval_c12, np.arange(1, n_max + 1))
+    flags = [reason is None for reason in reasons]
+    return [v if ok else 0.0 + 0.0j for v, ok in zip(values.tolist(), flags)], flags
 
 
 def _beta_from_eigenvalues(provider, eigenvalues) -> complex:
-    vals = []
-    for lam, _sector, _mult in eigenvalues:
-        vals.append(1j * complex(provider.eval_c11(lam)) * complex(provider.eval_c11(-lam)))
+    # c11 at every lam, then at every -lam, in one call
+    lams = [lam for lam, _sector, _mult in eigenvalues]
+    both = provider.eval_c11(np.array(lams + [-lam for lam in lams])).tolist()
+    vals = [1j * a * b for a, b in zip(both[: len(lams)], both[len(lams):])]
     return complex(np.mean(vals))
 
 
 def _beta_from_asymptote(provider) -> complex:
     # c12 -> -(1 + i beta)/2 with a power series in 1/|lambda|
-    samples = [
-        1j * (2.0 * complex(provider.eval_c12(r * FALLBACK_DIRECTION)) + 1.0)
-        for r in FALLBACK_RADII
-    ]
+    samples = [1j * (2.0 * c + 1.0) for c in provider.eval_c12(FALLBACK_POINTS).tolist()]
     # order by decreasing step h = 1/r; radii double, so the ratio is 2
     return richardson_limit(samples, 2.0)
 

@@ -163,38 +163,62 @@ def richardson_limit(values: Sequence[complex], step_ratio: float) -> complex:
 #: radius POLE_CIRCLE_RADIUS around n/2.  Exports sample exactly these points.
 POLE_CIRCLE_RADIUS = 0.01
 POLE_CIRCLE_POINTS = 32
+_CIRCLE_OFFSETS = POLE_CIRCLE_RADIUS * np.exp(
+    1j * (2.0 * np.pi * np.arange(POLE_CIRCLE_POINTS) / POLE_CIRCLE_POINTS))
 
 
-def pole_circle(n: int) -> np.ndarray:
-    """The equally spaced sample points of the pole-strength circle at n/2."""
-    theta = 2.0 * np.pi * np.arange(POLE_CIRCLE_POINTS) / POLE_CIRCLE_POINTS
-    return n / 2.0 + POLE_CIRCLE_RADIUS * np.exp(1j * theta)
+def pole_circle(n) -> np.ndarray:
+    """The equally spaced sample points of the pole-strength circle at n/2;
+    for an array of n, one row of points per n."""
+    return np.asarray(n)[..., None] / 2.0 + _CIRCLE_OFFSETS
+
+
+def pole_strengths(
+    c11_fn: Callable, c12_fn: Callable, ns, rel_tol: float = 1e-6
+) -> tuple[np.ndarray, list]:
+    """Diagonal table entries V[n, n] = -lim (n - 2 lam) c11/c12 at n/2 for
+    each n in ns, and for each None or the reason its estimate is rejected.
+
+    That is twice the residue of c11/c12, read by the trapezoidal rule on
+    `pole_circle(n)` as 2 mean((lam - n/2) c11/c12).  Each function is
+    called once, on the points of every circle in one flat array.  A circle
+    is rejected on a non-finite sample, when c12 winds around a zero inside
+    it (an arg step >= pi/2 or a nonzero total turn), and when the mean over
+    every other point differs by more than rel_tol * max(1, |estimate|), as
+    it does for a zero of c12 just outside; a rejection leaves the other
+    circles' estimates alone.
+    """
+    ns = np.asarray(ns)
+    lam = pole_circle(ns)
+    flat = lam.reshape(-1)
+    c12 = np.asarray(c12_fn(flat), dtype=complex).reshape(lam.shape)
+    c11 = np.asarray(c11_fn(flat), dtype=complex).reshape(lam.shape)
+    with np.errstate(divide="ignore", invalid="ignore"):  # a rejected row is reported, not warned
+        g = (lam - ns[:, None] / 2.0) * c11 / c12
+        full = 2.0 * g.mean(axis=1)
+        half = 2.0 * g[:, ::2].mean(axis=1)
+        steps = np.angle(np.roll(c12, -1, axis=1) / c12)
+        finite = np.isfinite(g).all(axis=1)
+        winds = (np.abs(steps).max(axis=1) >= np.pi / 2) | (np.abs(steps.sum(axis=1)) > np.pi)
+        unsettled = np.abs(full - half) > rel_tol * np.maximum(1.0, np.abs(full))
+    reasons = [None] * len(ns)
+    for i in np.flatnonzero(~finite | winds | unsettled).tolist():
+        n = ns[i]
+        if not finite[i]:
+            reasons[i] = f"non-finite ratio sample on the circle at n={n}"
+        elif winds[i]:
+            reasons[i] = f"c12 winds around a zero inside the circle at n={n}"
+        else:
+            reasons[i] = f"pole strength at n={n} did not settle: {half[i]} vs {full[i]}"
+    return full, reasons
 
 
 def pole_strength(c11_fn: Callable, c12_fn: Callable, n: int, rel_tol: float = 1e-6) -> complex:
-    """Diagonal table entry V[n, n] = -lim (n - 2 lam) c11/c12 at n/2.
-
-    That is twice the residue of c11/c12, read by the trapezoidal rule on
-    `pole_circle(n)` as 2 mean((lam - n/2) c11/c12); each function is called
-    once, on the array of circle points.  Raises ExtrapolationDivergence on
-    a non-finite sample, when c12 winds around a zero inside the circle (an
-    arg step >= pi/2 or a nonzero total turn), and when the mean over every
-    other point differs by more than rel_tol * max(1, |estimate|), as it
-    does for a zero of c12 just outside the circle.
-    """
+    """`pole_strengths` for the one circle at n/2 (a positive integer n);
+    a rejected estimate raises ExtrapolationDivergence with its reason."""
     if n < 1:
         raise ValueError("n must be a positive integer")
-    lam = pole_circle(n)
-    c12 = np.asarray(c12_fn(lam), dtype=complex)
-    g = (lam - n / 2.0) * np.asarray(c11_fn(lam), dtype=complex) / c12
-    if not np.all(np.isfinite(g)):
-        raise ExtrapolationDivergence(f"non-finite ratio sample on the circle at n={n}")
-    steps = np.angle(np.roll(c12, -1) / c12)
-    if np.max(np.abs(steps)) >= np.pi / 2 or abs(np.sum(steps)) > np.pi:
-        raise ExtrapolationDivergence(f"c12 winds around a zero inside the circle at n={n}")
-    full = 2.0 * np.mean(g)
-    half = 2.0 * np.mean(g[::2])
-    if abs(full - half) > rel_tol * max(1.0, abs(full)):
-        raise ExtrapolationDivergence(f"pole strength at n={n} did not settle: {half} vs {full}")
-    return complex(full)
-
+    (value,), (reason,) = pole_strengths(c11_fn, c12_fn, [n], rel_tol)
+    if reason is not None:
+        raise ExtrapolationDivergence(reason)
+    return complex(value)

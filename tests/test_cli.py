@@ -62,8 +62,10 @@ class TestSchemas:
             (1.0, [True, 0.0], "q[1] must be a [re, im] pair of numbers"),
             (1.0, ["1", 0.0], "q[1] must be a [re, im] pair of numbers"),
             (1.0, [1.0, 0.0, 2.0], "q[1] must be a [re, im] pair of numbers"),
+            # json keeps an integer exact, so this one is beyond the float range
+            (1.0, [10**400, 0.0], "q[1] must be a [re, im] pair of numbers"),
         ],
-        ids=["bool-beta", "string-beta", "bool-q", "string-q", "three-q"],
+        ids=["bool-beta", "string-beta", "bool-q", "string-q", "three-q", "huge-q"],
     )
     def test_potential_schema_messages(self, tmp_path, capsys, beta, q1, message):
         path = tmp_path / "p.json"
@@ -90,9 +92,10 @@ class TestSchemas:
             # Python's json reads Infinity and NaN, and keeps a huge integer exact
             ({"re": float("inf")}, "samples[1].re must be a number"),
             ({"im": 10**400}, "samples[1].im must be a number"),
+            ({"c11": [10**400, 0.0]}, "samples[1].c11 must be a [re, im] pair of numbers"),
         ],
         ids=["bool-c11", "three-c12", "string-c11", "missing-c12", "not-object", "string-re", "bool-re",
-             "infinite-re", "huge-im"],
+             "infinite-re", "huge-im", "huge-c11"],
     )
     def test_sample_schema_errors(self, tmp_path, capsys, bad, message):
         good = {"re": 0.5, "im": 0.01, "c11": [1, -2.0], "c12": [0.0, 3]}
@@ -108,6 +111,18 @@ class TestSchemas:
         assert capsys.readouterr().err == f"schema error: {message}\n"
         path.write_text(json.dumps({"eigenvalues": [], "samples": [good, good], "meta": {}}))
         assert load_spectral_data(path)["samples"] == [good, good]
+
+    def test_sample_columns_match_record_by_record(self):
+        samples = [
+            {"re": 0.5, "im": -0.0, "c11": [1, -0.0], "c12": [float("nan"), float("inf")]},
+            {"re": -0.0, "im": 2**60 + 1, "c11": [-1e-300, 3], "c12": [0.0, -2**70]},
+            {"re": 1.25, "im": 0.01, "c11": [float("-inf"), 0.5], "c12": [7, 8]},
+        ]
+        points, c11, c12 = cli.sample_columns(samples)
+        assert points.tobytes() == np.array([complex(s["re"], s["im"]) for s in samples]).tobytes()
+        assert c11.tobytes() == np.array([complex(*s["c11"]) for s in samples]).tobytes()
+        assert c12.tobytes() == np.array([complex(*s["c12"]) for s in samples]).tobytes()
+        assert [column.size for column in cli.sample_columns([])] == [0, 0, 0]
 
     @pytest.mark.parametrize(
         "bad, message",

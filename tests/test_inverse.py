@@ -1,15 +1,19 @@
 """Spectral-data providers and the reconstruction pipeline."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from spectral_sl import (
     AnalyticProvider,
+    ExtrapolationDivergence,
     FourierPotential,
     InsufficientSamples,
     NoData,
     NonRealBeta,
     SampledProvider,
+    pole_strength,
     recover_beta,
     recover_diagonal,
     reconstruct,
@@ -29,7 +33,8 @@ def make_sampled(potential, n_max=5, analytic=None):
 
 
 class SyntheticProvider:
-    """Hand-built coefficient functions for harness validation."""
+    """Hand-built coefficient functions for harness validation; like every
+    provider's, they map an array of points to an array of values."""
 
     def __init__(self, beta, lam0=None):
         self.beta = beta
@@ -38,17 +43,65 @@ class SyntheticProvider:
 
     def eval_c11(self, lam):
         # constant with c11(lam) c11(-lam) = -i beta
-        return complex(np.sqrt(-1j * self.beta))
+        return np.full(np.shape(lam), complex(np.sqrt(-1j * self.beta)))
 
     def eval_c12(self, lam):
-        lam = complex(lam)
+        lam = np.asarray(lam, dtype=complex)
         base = -(1 + 1j * self.beta) / 2
         if self.lam0 is None:
-            return base
+            return np.full(lam.shape, base)
         return base * (lam - self.lam0) / lam
 
 
+class CountingProvider:
+    """Another provider's data, counting the calls of each evaluator."""
+
+    def __init__(self, inner, eigenvalues=None):
+        self.inner = inner
+        self.eigenvalues = inner.eigenvalues if eigenvalues is None else eigenvalues
+        self.calls = Counter()
+
+    def eval_c11(self, lam):
+        self.calls["c11"] += 1
+        return self.inner.eval_c11(lam)
+
+    def eval_c12(self, lam):
+        self.calls["c12"] += 1
+        return self.inner.eval_c12(lam)
+
+
+def _two_zero_c11(lam):
+    # a simple pole at every half-integer n/2, n = 1 ... 6
+    return sum(1.0 / (n - 2.0 * lam) for n in range(1, 7))
+
+
+def _two_zero_c12(lam):
+    # a zero inside the circle at 1 and one 0.015 from 3/2, just outside its circle
+    return (lam - (1.0 + 0.005j)) * (lam - 1.515)
+
+
 class TestRecoverDiagonal:
+    def test_one_call_per_evaluator(self):
+        prov = CountingProvider(make_sampled(EIG_POTENTIAL, n_max=6))
+        recover_diagonal(prov, 6)
+        assert prov.calls == {"c11": 1, "c12": 1}
+
+    def test_rejected_circles_leave_the_others(self):
+        class TwoZeros:
+            eigenvalues = []
+            eval_c11 = staticmethod(_two_zero_c11)
+            eval_c12 = staticmethod(_two_zero_c12)
+
+        diag, flags = recover_diagonal(TwoZeros(), 6)
+        assert flags == [True, False, False, True, True, True]
+        assert diag[1] == diag[2] == 0.0
+        for n in (1, 4, 5, 6):
+            assert diag[n - 1] == pole_strength(_two_zero_c11, _two_zero_c12, n)
+        with pytest.raises(ExtrapolationDivergence, match=r"^c12 winds around a zero inside the circle at n=2$"):
+            pole_strength(_two_zero_c11, _two_zero_c12, 2)
+        with pytest.raises(ExtrapolationDivergence, match=r"^pole strength at n=3 did not settle: "):
+            pole_strength(_two_zero_c11, _two_zero_c12, 3)
+
     def test_free_potential(self):
         prov = AnalyticProvider(FourierPotential(beta=1.0, q=()), 10)
         diag, _flags = recover_diagonal(prov, 3)
@@ -85,6 +138,15 @@ class TestRecoverBeta:
         without = SyntheticProvider(beta=0.9, lam0=None)
         assert abs(recover_beta(with_eig) - recover_beta(without)) < 1e-6
 
+    def test_one_call_per_beta_path(self):
+        sampled = make_sampled(EIG_POTENTIAL, n_max=1)
+        with_eig = CountingProvider(sampled)
+        recover_beta(with_eig)
+        assert with_eig.calls == {"c11": 1}
+        far_field = CountingProvider(sampled, eigenvalues=[])
+        recover_beta(far_field)
+        assert far_field.calls == {"c12": 1}
+
     def test_both_paths_agree_on_real_point_spectrum(self):
         prov = AnalyticProvider(EIG_POTENTIAL, 30)
         primary = recover_beta(prov)
@@ -101,8 +163,8 @@ class TestRecoverBeta:
     def test_inconsistent_data_raises(self):
         class Bad:
             eigenvalues = [(1 + 1j, 0, 1)]
-            eval_c11 = staticmethod(lambda lam: 0.5 + 0.5j)
-            eval_c12 = staticmethod(lambda lam: -(1 + 1j) / 2)
+            eval_c11 = staticmethod(lambda lam: np.full(np.shape(lam), 0.5 + 0.5j))
+            eval_c12 = staticmethod(lambda lam: np.full(np.shape(lam), -(1 + 1j) / 2))
 
         with pytest.raises(NonRealBeta):
             recover_beta(Bad())

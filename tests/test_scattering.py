@@ -16,7 +16,7 @@ from spectral_sl import (
     pole_strength,
     wronskian,
 )
-from spectral_sl.scattering import _coefficients
+from spectral_sl.scattering import _coefficients, pole_circle, pole_strengths
 from spectral_sl.solutions import POLE_TOL
 
 from .conftest import offlattice_lambda, random_potential
@@ -144,7 +144,47 @@ class TestCoefficientRoutes:
         assert np.all(np.isfinite(_coefficients(q1_table_30, 1.0, clear, ("c11",), POLE_TOL)[0]))
 
 
+def _one_circle_reference(c11_fn, c12_fn, n, rel_tol=1e-6):
+    """The circle rule for one n, one check after another: the estimate, or
+    the message of the first check it fails."""
+    lam = pole_circle(n)
+    c12 = np.asarray(c12_fn(lam), dtype=complex)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g = (lam - n / 2.0) * np.asarray(c11_fn(lam), dtype=complex) / c12
+        if not np.all(np.isfinite(g)):
+            return f"non-finite ratio sample on the circle at n={n}"
+        steps = np.angle(np.roll(c12, -1) / c12)
+    if np.max(np.abs(steps)) >= np.pi / 2 or abs(np.sum(steps)) > np.pi:
+        return f"c12 winds around a zero inside the circle at n={n}"
+    full = 2.0 * np.mean(g)
+    half = 2.0 * np.mean(g[::2])
+    if abs(full - half) > rel_tol * max(1.0, abs(full)):
+        return f"pole strength at n={n} did not settle: {half} vs {full}"
+    return complex(full)
+
+
 class TestPoleStrength:
+    @pytest.mark.parametrize(
+        "zero",
+        [None, 1.0 + 0.005j, 1.515, 2.0, 2.52 + 0.001j, complex(pole_circle(6)[0])],
+        ids=["none", "inside-2", "outside-3", "centre-4", "outside-5", "on-circle-6"],
+    )
+    def test_batch_matches_one_circle_at_a_time(self, zero):
+        # every row of the batch equals the rule applied to its circle alone,
+        # bit for bit, and a rejected row carries that rule's message
+        rng = np.random.default_rng(29)
+        p = random_potential(rng, max_harmonics=3)
+        c11_fn, c12_fn = coefficient_evaluators(build_table(p, 30), p.beta)
+        if zero is not None:
+            c12_fn = lambda lam, c12_fn=c12_fn: c12_fn(lam) * (lam - zero)
+        values, reasons = pole_strengths(c11_fn, c12_fn, np.arange(1, 7))
+        for n in range(1, 7):
+            expect = _one_circle_reference(c11_fn, c12_fn, n)
+            got = reasons[n - 1] if reasons[n - 1] is not None else complex(values[n - 1])
+            assert got == expect
+            if isinstance(expect, complex):
+                assert np.signbit([got.real, got.imag]).tolist() == np.signbit([expect.real, expect.imag]).tolist()
+
     def test_free_case_has_no_pole(self, zero_table):
         assert abs(pole_strength(*coefficient_evaluators(zero_table, 1.0), 1)) < 1e-10
 
