@@ -33,9 +33,7 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
-import operator
 import os
 import re
 import sys
@@ -46,7 +44,8 @@ import numpy as np
 from .coeffs import FourierPotential, build_table
 from .errors import SchemaError, SpectralError
 from .inverse import (
-    FALLBACK_POINTS,
+    FALLBACK_DIRECTION,
+    FALLBACK_RADII,
     SampledProvider,
     reconstruct,
     sampled_provider,
@@ -90,65 +89,26 @@ _NUMBER = (int, float)  # exact for JSON values, where bool is its own type
 _FLOAT_MAX = sys.float_info.max
 
 
-def _float_entry(x) -> bool:
-    """A float, finite or not, or an integer within the float range."""
-    return type(x) is float or type(x) is int and abs(x) <= _FLOAT_MAX
-
-
 def _non_numeric(obj, numbers=(), pairs=()):
     """The first key of ``numbers`` whose value in obj is not a finite JSON
     number (Python's json also reads NaN and Infinity, 1e400 as inf, and
     keeps a huge integer exact), else the first of ``pairs`` whose value is
-    not an [re, im] list of two `_float_entry` numbers, else None.  One call
-    checks a whole record and formats nothing."""
+    not an [re, im] list of two numbers, each a float, finite or not, or an
+    integer within the float range, else None.  One call checks a whole
+    record and formats nothing."""
     for key in numbers:
         v = obj[key]
         if type(v) not in _NUMBER or not abs(v) <= _FLOAT_MAX:
             return key
     for key in pairs:
         v = obj[key]
-        if not (type(v) is list and len(v) == 2 and all(map(_float_entry, v))):
+        if not (type(v) is list and len(v) == 2):
+            return key
+        a, b = v
+        if not ((type(a) is float or type(a) is int and abs(a) <= _FLOAT_MAX)
+                and (type(b) is float or type(b) is int and abs(b) <= _FLOAT_MAX)):
             return key
     return None
-
-
-def _float_column(values, finite: bool):
-    """values as a float array if each is a `_float_entry`, finite with
-    ``finite``, else None."""
-    kinds = set(map(type, values))
-    if not kinds <= {int, float} or (int in kinds and not all(map(_float_entry, values))):
-        return None
-    column = np.array(values, dtype=float)
-    return column if not finite or np.isfinite(column).all() else None
-
-
-_SAMPLE_FIELDS = operator.itemgetter("re", "im", "c11", "c12")
-
-
-def sample_columns(samples: list):
-    """(points, c11, c12) of a spectral-data file's samples as complex
-    arrays, or None if some sample breaks the rules `_non_numeric` applies
-    to each.  The samples are checked a column at a time, and each value is
-    bit for bit complex(re, im) or complex(*pair)."""
-    if not set(map(type, samples)) <= {dict}:
-        return None
-    try:
-        rows = list(map(_SAMPLE_FIELDS, samples))
-    except KeyError:
-        return None
-    re_, im, c11, c12 = zip(*rows) if rows else ((), (), (), ())
-    pairs = c11 + c12
-    if not (set(map(type, pairs)) <= {list} and set(map(len, pairs)) <= {2}):
-        return None
-    xy = _float_column(re_ + im, finite=True)
-    ab = _float_column(list(itertools.chain.from_iterable(pairs)), finite=False)
-    if xy is None or ab is None:
-        return None
-    n = len(rows)
-    points = np.empty(n, dtype=complex)
-    points.real, points.imag = xy[:n], xy[n:]
-    values = ab.view(complex)  # all c11, then all c12
-    return points, values[:n], values[n:]
 
 
 def _load_json(path):
@@ -219,8 +179,6 @@ def spectral_data_to_dict(eigenvalues, points, c11, c12, meta) -> dict:
 
 
 def load_spectral_data(path) -> dict:
-    """The checked contents of a spectral-data file, with the samples also
-    as complex arrays under "columns" (see `sample_columns`)."""
     data = _load_json(path)
     _require(isinstance(data, dict), "spectral data must be a JSON object")
     for key in ("eigenvalues", "samples", "meta"):
@@ -239,16 +197,17 @@ def load_spectral_data(path) -> dict:
         _require(type(e["sector"]) is int and 0 <= e["sector"] <= 3, f"eigenvalues[{i}].sector must be 0..3")
         mult = e["multiplicity"]
         _require(type(mult) is int and mult >= 1, f"eigenvalues[{i}].multiplicity must be an integer >= 1")
-    columns = sample_columns(data["samples"])
-    if columns is None:  # name the first bad sample
-        for i, s in enumerate(data["samples"]):
-            _require(type(s) is dict, f"samples[{i}] must be an object")
-            for key in ("re", "im", "c11", "c12"):
-                _require(key in s, f"samples[{i}] is missing '{key}'")
-            bad = _non_numeric(s, ("re", "im"), ("c11", "c12"))
+    for i, s in enumerate(data["samples"]):
+        # no message is formatted unless a check fails
+        if type(s) is not dict:
+            raise SchemaError(f"samples[{i}] must be an object")
+        for key in ("re", "im", "c11", "c12"):
+            if key not in s:
+                raise SchemaError(f"samples[{i}] is missing '{key}'")
+        bad = _non_numeric(s, ("re", "im"), ("c11", "c12"))
+        if bad is not None:
             what = "a number" if bad in ("re", "im") else "a [re, im] pair of numbers"
-            _require(bad is None, f"samples[{i}].{bad} must be {what}")
-    data["columns"] = columns
+            raise SchemaError(f"samples[{i}].{bad} must be {what}")
     return data
 
 
@@ -289,17 +248,22 @@ def reconstruction_to_dict(result) -> dict:
 def sample_points(config: RunConfig, eigenvalues) -> np.ndarray:
     """Deterministic sample points of a spectral-data export, each once:
     the pole-strength circle `pole_circle(n)` around each real half-integer
-    n/2, the far-field points `inverse.FALLBACK_POINTS` of the asymptotic
-    beta path, and +/- every sector 0 and 3 eigenvalue (these cover each
-    pair lam, -lam once): 32 n_max + 6 + (number of eigenvalues) points.
+    n/2, the far-field points r * FALLBACK_DIRECTION of the asymptotic beta
+    path, and +/- every sector 0 and 3 eigenvalue (these cover each pair
+    lam, -lam once): 32 n_max + 6 + (number of eigenvalues) points.
 
     The inverse reads every circle, but the far-field points only when
     there is no sector 0 eigenvalue and +/- lam only for sector 0
     eigenvalues; the +/- points of sector 3 eigenvalues are never read.
     """
-    pairs = [z for lam, sector, _mult in eigenvalues if sector in (0, 3) for z in (lam, -lam)]
-    circles = pole_circle(np.arange(1, config.n_max + 1)).reshape(-1)
-    return np.concatenate([circles, FALLBACK_POINTS, np.array(pairs, dtype=complex)])
+    pts: list = []
+    for n in range(1, config.n_max + 1):
+        pts += list(pole_circle(n))
+    pts += [r * FALLBACK_DIRECTION for r in FALLBACK_RADII]
+    for lam, sector, _mult in eigenvalues:
+        if sector in (0, 3):  # -lam is the pair's sector 2 or 1 member
+            pts += [lam, -lam]
+    return np.asarray(pts, dtype=complex)
 
 
 def _scan(config: RunConfig, potential: FourierPotential):

@@ -105,16 +105,12 @@ class SampledProvider:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SampledProvider":
-        """Provider for the contents of a spectral-data file (see `cli`): the
-        sample columns `cli.load_spectral_data` checked, else those of
-        `cli.sample_columns`."""
-        from .cli import sample_columns
-
-        points, c11, c12 = data.get("columns") or sample_columns(data["samples"])
+        """Provider for the contents of a spectral-data file (see `cli`)."""
+        samples = data["samples"]
         return cls(
-            points,
-            c11,
-            c12,
+            [complex(s["re"], s["im"]) for s in samples],
+            [complex(*s["c11"]) for s in samples],
+            [complex(*s["c12"]) for s in samples],
             [(complex(e["re"], e["im"]), e["sector"], e["multiplicity"])
              for e in data["eigenvalues"]],
             data["meta"],

@@ -112,18 +112,6 @@ class TestSchemas:
         path.write_text(json.dumps({"eigenvalues": [], "samples": [good, good], "meta": {}}))
         assert load_spectral_data(path)["samples"] == [good, good]
 
-    def test_sample_columns_match_record_by_record(self):
-        samples = [
-            {"re": 0.5, "im": -0.0, "c11": [1, -0.0], "c12": [float("nan"), float("inf")]},
-            {"re": -0.0, "im": 2**60 + 1, "c11": [-1e-300, 3], "c12": [0.0, -2**70]},
-            {"re": 1.25, "im": 0.01, "c11": [float("-inf"), 0.5], "c12": [7, 8]},
-        ]
-        points, c11, c12 = cli.sample_columns(samples)
-        assert points.tobytes() == np.array([complex(s["re"], s["im"]) for s in samples]).tobytes()
-        assert c11.tobytes() == np.array([complex(*s["c11"]) for s in samples]).tobytes()
-        assert c12.tobytes() == np.array([complex(*s["c12"]) for s in samples]).tobytes()
-        assert [column.size for column in cli.sample_columns([])] == [0, 0, 0]
-
     @pytest.mark.parametrize(
         "bad, message",
         [

@@ -159,6 +159,10 @@ class TestRecoverBeta:
         fallback = recover_beta(Stripped())
         assert abs(primary - EIG_POTENTIAL.beta) < 1e-8
         assert abs(primary - fallback) < 1e-6
+        # pinned near the last bits, so a change in how c11 is read shows
+        # (one call per point moves it by 3.5e-14); the slack allows for
+        # BLAS kernels
+        assert abs(primary - 0.9999999999999645) < 1e-14
 
     def test_inconsistent_data_raises(self):
         class Bad:
