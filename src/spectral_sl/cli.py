@@ -378,7 +378,9 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("input", help="input JSON file")
         p.add_argument("-A", "--order", type=int, default=30, help="series truncation order")
         p.add_argument("--nmax", type=int, default=6, help="number of recovered harmonics / singular points")
-        p.add_argument("--tol", type=float, default=1e-9, help="eigenvalue localisation tolerance")
+        p.add_argument("--tol", type=float, default=1e-9,
+                       help="eigenvalue tolerance: bound on the last Newton step, relative to "
+                       "1 + |lambda|; zeros within max(100 tol, 1e-7) are merged")
         p.add_argument("--out", default=".", help="output directory or file")
 
     for name, text in (

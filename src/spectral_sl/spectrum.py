@@ -5,12 +5,18 @@ arg lam < (k+1) pi/2}.  Eigenvalues are the zeros of one connection
 coefficient per quadrant (c12(lam), c11(-lam), c12(-lam), c11(lam) for
 k = 0, 1, 2, 3).  The operator depends on lam only through lam^2, so the
 eigenvalues come in pairs lam, -lam: quadrant 2's function at -lam is
-quadrant 0's at lam, and quadrant 1's at -lam is quadrant 3's at lam.  The
-full scan therefore searches quadrants 0 and 3 only, by winding-number
-counting over rectangles with adaptive subdivision and Newton polishing
-started from the moment pencil of each box winding 1 to 4 times, and adds
-the mirror of every hit.  The two axes carry the continuous spectrum, with
-distinguished points at n/2 and i n/(2 beta).
+quadrant 0's at lam, and quadrant 1's at -lam is quadrant 3's at lam.
+
+At a fixed table order c11 and c12 are exactly rational in lam,
+d + sum_j r_j/(lam - p_j) with 2m simple poles on the two pole lattices
+(`rational_form`), so each has exactly 2m zeros.  All of them are the
+eigenvalues of one deflated secular matrix (`secular_zeros`); the full scan
+lists those that lie in quadrants 0 and 3 inside the listing box, polished
+by Newton on the rational form (`rational_zeros`), and adds the mirror of
+every hit.  The two axes carry the continuous spectrum, with distinguished
+points at n/2 and i n/(2 beta).  `find_zeros`, the winding-number box
+search, stays as an independent reference.  docs/spectrum.md has the
+derivation and the measured traps.
 """
 
 from __future__ import annotations
@@ -27,14 +33,16 @@ from .errors import (
     NearSpectrum,
     SpectralError,
 )
-from .scattering import coefficient_evaluators
-from .solutions import _continued, eval_f1, eval_f2
+from .scattering import _WRONSKIAN_PAIRS, coefficient_evaluators
+from .solutions import _continued, _exponent, _series, eval_f1, eval_f2
 
 CONTINUOUS_SPECTRUM_AXES = "axes Re lambda = 0 and Im lambda = 0"
 
-#: Default half-side of the per-quadrant search rectangle.  The connection
-#: coefficients approach nonzero constants as |lambda| grows, so far-field
-#: zeros cannot occur and a moderate box suffices.
+#: Outer side of the per-quadrant listing box [DEFAULT_MARGIN,
+#: DEFAULT_BOX_LIMIT]^2.  The box does not bound a search: every zero of the
+#: rational form is found, and the box only decides which are listed.  Zeros
+#: closer than DEFAULT_MARGIN to an axis, or beyond DEFAULT_BOX_LIMIT, are
+#: left out of the report.
 DEFAULT_BOX_LIMIT = 10.0
 DEFAULT_MARGIN = 0.1
 
@@ -262,6 +270,12 @@ def find_zeros(
         hi = lambda v: min(v + pad, 0.25 * v) if v < 0 else v + pad
         raw = recurse((lo(re_lo), hi(re_hi), lo(im_lo), hi(im_hi)), 0)
 
+    return _merge(raw, tol)
+
+
+def _merge(raw, tol: float) -> list:
+    """(z, multiplicity) pairs sorted by (Re, Im), each pair within
+    max(100 tol, 1e-7) of an earlier one folded into it."""
     merged: list = []
     for z, m in sorted(raw, key=lambda t: (t[0].real, t[0].imag)):
         for i, (zi, mi) in enumerate(merged):
@@ -284,6 +298,115 @@ def sector_coefficient_fn(table: CoefficientTable, beta: float, k: int) -> Calla
     }[k]
 
 
+# --- the rational form of c11 and c12 --------------------------------------
+
+#: A pole whose |r_j / d| is below DEFLATION times its distance to the
+#: nearest other pole is deflated (Cuppen 1981): its zero is taken to first
+#: order, and the pole stays out of the eigenproblem.
+DEFLATION = 1e-8
+#: A zero is kept when |c| <= RESIDUAL_TOL (|d| + sum_j |r_j / (lam - p_j)|).
+RESIDUAL_TOL = 1e-12
+#: Zeros within this distance of the listing box are Newton-polished.
+POLISH_PAD = 0.05
+
+
+def rational_form(table: CoefficientTable, beta: float, k: int) -> tuple:
+    """(d, p, r) with sector k's coefficient equal to d + sum_j r_j/(lam - p_j).
+
+    At a fixed order every branch at x = 0, with exponent a lam, is
+    g = 1 + sum_n s_n/(n - 2ia lam) with slope a lam g + sum_n s'_n/(n - 2ia
+    lam), where (s_n, s'_n) are the row sums `table.zero_sums`.  In the
+    Wronskian W(F, G)/(2i lam) of c11 or c12 the a lam g terms leave the
+    constant d = (a - b)/(2i) times g_F g_G, and lam = 0 is removable, so
+    the coefficient is exactly rational: -(1 + i beta)/2 for c12 and
+    -(1 - i beta)/2 for c11 at infinity, and one simple pole per live row on
+    each branch's lattice.  The residue at a pole p of F is F's singular
+    parts s_n/(-2ia) (value) and (a p s_n + s'_n)/(-2ia) (slope) crossed with
+    G's value and slope there, over 2i p; as a p = n/(2i), that is
+    ((n s_n/(2i) + s'_n) G(p) - s_n G'(p)) / (-2i n), and the negative of the
+    same with F and G swapped at a pole of G.  Sectors 1 and 2 take the
+    function at -lam: poles and residues change sign.  docs/spectrum.md
+    derives it.
+    """
+    first, second = _WRONSKIAN_PAIRS["c12" if k in (0, 2) else "c11"]
+    a, b = (_exponent(which, 1.0, beta)[0] for which in (first, second))
+    rows = table.live_rows
+    n = rows + 1.0
+    s, ds = (sums[rows] for sums in table.zero_sums)
+    own = np.array([[a], [b]])  # row 0: the poles of F, row 1: those of G
+    p = n / (2j * own)
+    # the other branch's value and slope at each pole, in one call
+    other = _series(table, (own[::-1] * p).ravel(), 0.0, pole_tol=None)
+    g, dg = (v.reshape(p.shape) for v in other)
+    flip = -1.0 if k in (1, 2) else 1.0
+    r = flip * np.array([[1.0], [-1.0]]) * ((n * s / 2j + ds) * g - s * dg) / (-2j * n)
+    return (a - b) / 2j, flip * p.ravel(), r.ravel()
+
+
+def _rational(d: complex, p: np.ndarray, r: np.ndarray, lam: np.ndarray) -> tuple:
+    """(c, c', scale) of d + sum_j r_j/(lam - p_j) at each lam, where scale
+    is |d| + sum_j |r_j/(lam - p_j)|, the size of the terms that cancel."""
+    inv = 1.0 / (lam[:, None] - p)
+    t = r * inv
+    return d + t.sum(axis=1), -(t * inv).sum(axis=1), abs(d) + np.abs(t).sum(axis=1)
+
+
+def _in_box(z: np.ndarray, box, pad: float = 0.0) -> np.ndarray:
+    """Which z lie strictly inside the box widened by pad on every side."""
+    re_lo, re_hi, im_lo, im_hi = box
+    return ((re_lo - pad < z.real) & (z.real < re_hi + pad)
+            & (im_lo - pad < z.imag) & (z.imag < im_hi + pad))
+
+
+def secular_zeros(d: complex, p: np.ndarray, r: np.ndarray) -> tuple:
+    """(eigenvalues, first_order): all len(p) zeros of d + sum_j r_j/(lam - p_j).
+
+    They are the eigenvalues of diag(p) - (r/d) 1^T, the secular equation
+    (Golub 1973).  A pole whose |r_j/d| is below `DEFLATION` times its gap
+    to the nearest pole is deflated: its zero p_j - r_j/(d + sum_{i != j}
+    r_i/(p_j - p_i)) is taken to first order, and the eigenvalues are those
+    of the matrix on the other poles, which sets the cost.  A deflated zero
+    lies within about 1e-8 of its pole, on an axis.
+    """
+    diff = p[:, None] - p
+    np.fill_diagonal(diff, np.inf)
+    gap = np.min(np.abs(diff), axis=1, initial=np.inf)
+    u = r / d
+    small = np.abs(u) < DEFLATION * gap
+    first_order = p[small] - r[small] / (d + (r / diff[small]).sum(axis=1))
+    keep = ~small
+    return np.linalg.eigvals(np.diag(p[keep]) - u[keep, None]), first_order
+
+
+def rational_zeros(d: complex, p: np.ndarray, r: np.ndarray, tol: float = 1e-9, box=None) -> list:
+    """Zeros (with multiplicity) of d + sum_j r_j/(lam - p_j), sorted by (Re, Im).
+
+    The `secular_zeros` within `POLISH_PAD` of the box (all of them when box
+    is None) take Newton steps with the analytic derivative until every step
+    is below tol (1 + |lam|).  A zero is kept when it is finite, its residual
+    is at most `RESIDUAL_TOL` times the scale of the terms, and it lies
+    strictly inside the box; zeros within max(100 tol, 1e-7) of each other
+    are merged and their multiplicities summed.
+    """
+    z = np.concatenate(secular_zeros(d, p, r))
+    if box is not None:
+        z = z[_in_box(z, box, POLISH_PAD)]
+    if not z.size:
+        return []
+    with np.errstate(all="ignore"):  # a wild iterate overflows: the filter drops it
+        for _ in range(60):
+            c, dc, _scale = _rational(d, p, r, z)
+            step = np.where(c == 0, 0.0, c / dc)
+            z = z - step
+            if not np.any(np.abs(step) > tol * (1.0 + np.abs(z))):
+                break
+        c, _dc, scale = _rational(d, p, r, z)
+        keep = np.isfinite(z) & (np.abs(c) <= RESIDUAL_TOL * scale)
+    if box is not None:
+        keep &= _in_box(z, box)
+    return _merge([(complex(v), 1) for v in z[keep]], tol)
+
+
 def default_sector_box(k: int):
     lo, hi = DEFAULT_MARGIN, DEFAULT_BOX_LIMIT
     return {
@@ -301,19 +424,26 @@ def find_eigenvalues(
     box=None,
     tol: float = 1e-9,
 ) -> list:
-    """Eigenvalues inside one quadrant rectangle, with multiplicities."""
+    """Eigenvalues strictly inside one quadrant rectangle, with multiplicities.
+
+    The box (by default the sector's listing box) only selects which zeros
+    of the sector's rational form are listed; ``tol`` bounds the last
+    Newton step and sets the merge radius max(100 tol, 1e-7).  Each hit's
+    coefficient_value comes from one series evaluation at the zero.
+    """
     if box is None:
         box = default_sector_box(sector.k)
-    re_lo, re_hi, im_lo, im_hi = (float(v) for v in box)
-    corners = [complex(r, i) for r in (re_lo, re_hi) for i in (im_lo, im_hi)]
-    if not all(sector.contains(c) for c in corners):
-        raise ValueError(f"box {box} is not inside sector {sector.k}")
-    if min(abs(re_lo), abs(re_hi)) < DEFAULT_MARGIN - 1e-12 or min(
-        abs(im_lo), abs(im_hi)
-    ) < DEFAULT_MARGIN - 1e-12:
-        raise ValueError("box must stay at least 0.1 away from the axes")
+    else:
+        re_lo, re_hi, im_lo, im_hi = (float(v) for v in box)
+        corners = [complex(r, i) for r in (re_lo, re_hi) for i in (im_lo, im_hi)]
+        if not all(sector.contains(c) for c in corners):
+            raise ValueError(f"box {box} is not inside sector {sector.k}")
+        if min(abs(re_lo), abs(re_hi)) < DEFAULT_MARGIN - 1e-12 or min(
+            abs(im_lo), abs(im_hi)
+        ) < DEFAULT_MARGIN - 1e-12:
+            raise ValueError("box must stay at least 0.1 away from the axes")
+    zeros = rational_zeros(*rational_form(table, beta, sector.k), tol=tol, box=box)
     fn = sector_coefficient_fn(table, beta, sector.k)
-    zeros = find_zeros(fn, box, tol=tol)
     return [
         EigenvalueHit(lam=z, sector=sector.k, multiplicity=m, coefficient_value=complex(fn(z)))
         for z, m in zeros
@@ -326,12 +456,13 @@ def scan_spectrum(
     n_max: int = 6,
     tol: float = 1e-9,
 ) -> SpectrumReport:
-    """Search half the spectral plane and list the singular-point candidates.
+    """List the eigenvalues in the listing boxes and the singular points.
 
-    Quadrants 0 and 3 are searched in their default boxes; each hit lam
+    The zeros of c12 in quadrant 0 and of c11 in quadrant 3 are listed when
+    they lie inside the default listing box of their quadrant; each hit lam
     also yields -lam in quadrant 2 or 1 with the same multiplicity and
     coefficient value, since that quadrant's function at -lam is the
-    searched one at lam.  The merged list is sorted by (Re, Im).
+    listed one at lam.  The merged list is sorted by (Re, Im).
     """
     eigenvalues = []
     for k in (0, 3):

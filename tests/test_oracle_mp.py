@@ -20,6 +20,7 @@ from spectral_sl import (
     eval_f1,
     eval_f2,
 )
+from spectral_sl.spectrum import rational_form, rational_zeros
 
 from .oracles import QC, exact_forward_table
 
@@ -156,3 +157,21 @@ def test_solutions_match_oracle(case, which):
             value, derivative = solutions[(which, lam, x)]
             assert _off(s.value, value) < TOL, (lam, x)
             assert _off(s.derivative, derivative) < TOL, (lam, x)
+
+
+def test_near_axis_zeros_of_c11_are_zeros_of_the_oracle():
+    # every zero of EIG's c11 in the fourth quadrant that passes the residual
+    # filter, the five within 0.1 of an axis that the report leaves out
+    # included, is a zero of the 30-digit c11 on the scale of the terms that
+    # cancel in it
+    beta, harmonics = 1.0, [QC.of(4, 4)]
+    table = build_table(FourierPotential(beta=beta, q=(4 + 4j,)), ORDER)
+    d, p, r = rational_form(table, beta, 3)
+    zeros = [z for z, _m in rational_zeros(d, p, r) if z.real > 0 and z.imag < 0]
+    near_axis = [z for z in zeros if min(z.real, -z.imag) < 0.1]
+    assert len(zeros) == 7 and len(near_axis) == 5
+    with mp.workdps(30):
+        oracle = MpOracle(beta, harmonics)
+        for z in zeros:
+            scale = abs(d) + np.sum(np.abs(r / (z - p)))
+            assert abs(complex(oracle.coefficients(z)[0])) <= 1e-10 * scale, z

@@ -28,6 +28,9 @@ from spectral_sl.spectrum import (
     _global_f2,
     _winding,
     default_sector_box,
+    rational_form,
+    rational_zeros,
+    secular_zeros,
     sector_coefficient_fn,
 )
 
@@ -268,6 +271,83 @@ class TestFindZeros:
         assert abs(z1 - a) < 1e-9 and abs(z2 - b) < 1e-9
 
 
+#: The four perfbench bases, as (beta, q).
+BENCH_BASES = (
+    (1.13, (5.5 - 1.84j, -0.98 + 2.38j)),
+    (1.79, (-1.01 - 3.29j,)),
+    (0.85, (2.49 + 5.23j, -1.62 + 2.23j)),
+    (1.76, (-2.82 - 0.23j, 3.49 + 4.01j, -0.97 - 2.41j)),
+)
+
+
+def forty_six_potentials() -> list:
+    """EIG, q = (1,), the four benchmark bases and 40 draws from
+    default_rng(1): 1-3 harmonics with parts uniform in [-4, 4], beta
+    uniform in [0.5, 2]."""
+    rng = np.random.default_rng(1)
+    return (
+        [EIG_POTENTIAL, FourierPotential(beta=1.0, q=(1.0,))]
+        + [FourierPotential(beta=b, q=q) for b, q in BENCH_BASES]
+        + [random_potential(rng, amp=4.0) for _ in range(40)]
+    )
+
+
+class TestRationalForm:
+    @pytest.mark.parametrize(
+        "potential",
+        [EIG_POTENTIAL, FourierPotential(beta=1.0, q=(1.0,)),
+         FourierPotential(beta=0.8, q=(2.0 + 4.0j, 1.0j, -1.0))],
+        ids=["eig", "q1", "h3"],
+    )
+    def test_matches_the_series(self, potential):
+        rng = np.random.default_rng(7)
+        lam = rng.uniform(-5, 5, 20) + 1j * rng.uniform(-5, 5, 20)
+        table = build_table(potential, 30)
+        for k in range(4):
+            d, p, r = rational_form(table, potential.beta, k)
+            assert len(p) == 2 * len(table.live_rows)
+            want = sector_coefficient_fn(table, potential.beta, k)(lam)
+            got = d + (r / (lam[:, None] - p)).sum(axis=1)
+            np.testing.assert_array_less(np.abs(got - want), 1e-12 * np.abs(want))
+
+    def test_listing_matches_the_box_search(self):
+        # the winding search is the reference; it may return a zero from its
+        # padded retry just outside the box, which the listing rule drops
+        for potential in forty_six_potentials():
+            table = build_table(potential, 30)
+            for k in (0, 3):
+                box = default_sector_box(k)
+                re_lo, re_hi, im_lo, im_hi = box
+                want = [(z, m) for z, m in find_zeros(
+                    sector_coefficient_fn(table, potential.beta, k), box, tol=1e-9)
+                    if re_lo < z.real < re_hi and im_lo < z.imag < im_hi]
+                got = find_eigenvalues(table, potential.beta, Sector(k))
+                assert len(got) == len(want), potential
+                for hit, (z, m) in zip(got, want):
+                    assert hit.multiplicity == m
+                    assert abs(hit.lam - z) <= 1e-12 * abs(z)
+
+    def test_all_zeros_are_accounted_for(self):
+        # the undeflated eigenvalues and the first-order deflated zeros are
+        # 2m in number, and they sum to the trace of diag(p) - (r/d) 1^T
+        for potential in forty_six_potentials():
+            table = build_table(potential, 30)
+            for k in (0, 3):
+                d, p, r = rational_form(table, potential.beta, k)
+                eigenvalues, first_order = secular_zeros(d, p, r)
+                assert len(eigenvalues) + len(first_order) == len(p) == 2 * len(table.live_rows)
+                trace = p.sum() - (r / d).sum()
+                assert abs(eigenvalues.sum() + first_order.sum() - trace) <= 1e-9 * abs(trace)
+
+    def test_double_zero_is_merged(self):
+        # 1 + 0.5/(lam - 3 - 2i) - 0.5/(lam - 1 - 2i) = u^2/(u^2 - 1), u = lam - 2 - 2i
+        zeros = rational_zeros(1.0, np.array([3 + 2j, 1 + 2j]), np.array([0.5, -0.5]))
+        assert len(zeros) == 1
+        z, mult = zeros[0]
+        assert mult == 2
+        assert abs(z - (2 + 2j)) < 1e-7
+
+
 class TestEigenvalues:
     def test_free_potential_has_none(self, zero_table):
         hits = find_eigenvalues(zero_table, 1.0, Sector(0))
@@ -292,12 +372,10 @@ class TestEigenvalues:
         assert abs(cc.c11 * cc.c22 - 1.0) < 1e-8
 
     def test_search_evaluation_budget(self, monkeypatch):
-        # every coefficient evaluation of the search goes through the
-        # coefficient_evaluators closures; quartering every box down to 1e-2
-        # took 450,670 of them on this potential, searching all four
-        # quadrants with a first-moment handoff below depth 3 106,562, the
-        # moment pencil at the root of quadrants 0 and 3 4,144, and a
-        # 128-point first ring with nested doublings 1,604
+        # every coefficient evaluation goes through the coefficient_evaluators
+        # closures; the rational solve reads the series at its poles directly,
+        # so the scan evaluates c11/c12 once per reported sector-0/3 hit, for
+        # its coefficient_value (the winding search took 1,604 here)
         evaluators = spectrum_module.coefficient_evaluators
         points = [0]
 
@@ -313,7 +391,9 @@ class TestEigenvalues:
 
         monkeypatch.setattr(spectrum_module, "coefficient_evaluators", counting)
         report = scan_spectrum(build_table(EIG_POTENTIAL, 30), EIG_POTENTIAL.beta)
-        assert points[0] <= 4_000
+        hits = [h for h in report.eigenvalues if h.sector in (0, 3)]
+        assert len(hits) == 3
+        assert points[0] <= len(hits)
         assert min(abs(h.lam - EIG_LAMBDA_S0) for h in report.eigenvalues) < 1e-12
 
     def test_winding_count_matches_report(self):
