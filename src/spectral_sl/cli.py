@@ -15,10 +15,11 @@ potential.json        {"beta": <float>, "q": [[re, im], ...]}
                       index i of "q" holds the harmonic q_{i+1}.
 spectral-data.json    {"eigenvalues": [{"re","im","sector","multiplicity"}],
                        "samples": [{"re","im","c11":[re,im],"c12":[re,im]}],
-                       "meta": {"beta_hint": <optional>, "n_max":, "A":}}
-                      beta_hint is advisory; the inverse never reads it.
-                      The samples hold every point the inverse may read
-                      (see `sample_points`).
+                       "meta": {"n_max":, "A":}}
+                      The samples are exactly the points the inverse reads
+                      (`inverse.sample_points`): the pole circle at each
+                      n/2, n = 1 ... n_max, then +/- each sector 0
+                      eigenvalue or, with none, six far-field points.
 spectrum-report.json  {"eigenvalues": [{"re","im","sector","multiplicity",
                                         "coefficient_value":[re,im]}],
                        "singularities": [{"kind","n","re","im"}],
@@ -43,14 +44,8 @@ import numpy as np
 
 from .coeffs import FourierPotential, build_table
 from .errors import SchemaError, SpectralError
-from .inverse import (
-    FALLBACK_DIRECTION,
-    FALLBACK_RADII,
-    SampledProvider,
-    reconstruct,
-    sampled_provider,
-)
-from .scattering import coefficient_evaluators, pole_circle
+from .inverse import SampledProvider, reconstruct, sample_points, sampled_provider
+from .scattering import coefficient_evaluators
 from .solutions import eval_with_residual
 from .spectrum import SpectrumReport, scan_spectrum
 
@@ -242,30 +237,6 @@ def reconstruction_to_dict(result) -> dict:
     }
 
 
-# --- sampling plan for exports ---------------------------------------------
-
-
-def sample_points(config: RunConfig, eigenvalues) -> np.ndarray:
-    """Deterministic sample points of a spectral-data export, each once:
-    the pole-strength circle `pole_circle(n)` around each real half-integer
-    n/2, the far-field points r * FALLBACK_DIRECTION of the asymptotic beta
-    path, and +/- every sector 0 and 3 eigenvalue (these cover each pair
-    lam, -lam once): 32 n_max + 6 + (number of eigenvalues) points.
-
-    The inverse reads every circle, but the far-field points only when
-    there is no sector 0 eigenvalue and +/- lam only for sector 0
-    eigenvalues; the +/- points of sector 3 eigenvalues are never read.
-    """
-    pts: list = []
-    for n in range(1, config.n_max + 1):
-        pts += list(pole_circle(n))
-    pts += [r * FALLBACK_DIRECTION for r in FALLBACK_RADII]
-    for lam, sector, _mult in eigenvalues:
-        if sector in (0, 3):  # -lam is the pair's sector 2 or 1 member
-            pts += [lam, -lam]
-    return np.asarray(pts, dtype=complex)
-
-
 def _scan(config: RunConfig, potential: FourierPotential):
     """The potential's table and its spectrum report."""
     table = build_table(potential, config.order)
@@ -275,11 +246,11 @@ def _scan(config: RunConfig, potential: FourierPotential):
 def _forward_products(config: RunConfig, potential: FourierPotential):
     table, report = _scan(config, potential)
     eigenvalues = [(h.lam, h.sector, h.multiplicity) for h in report.eigenvalues]
-    points = sample_points(config, eigenvalues)
+    points = sample_points(eigenvalues, config.n_max)
     c11_fn, c12_fn = coefficient_evaluators(table, potential.beta)
     c11 = c11_fn(points)
     c12 = c12_fn(points)
-    meta = {"beta_hint": potential.beta, "n_max": config.n_max, "A": config.order}
+    meta = {"n_max": config.n_max, "A": config.order}
     data = spectral_data_to_dict(eigenvalues, points, c11, c12, meta)
     return data, spectrum_report_to_dict(report)
 
@@ -332,9 +303,11 @@ def cmd_inverse(config: RunConfig) -> int:
 
 def _parse_lambda(text: str) -> complex:
     try:
-        return complex(text.replace("i", "j"))
+        lam = complex(text.replace("i", "j"))
     except ValueError as exc:
         raise SchemaError(f"cannot parse --lambda value {text!r}") from exc
+    _require(np.isfinite(lam), f"--lambda must be finite, not {text!r}")
+    return lam
 
 
 def _parse_range(text: str):
@@ -344,6 +317,7 @@ def _parse_range(text: str):
         lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise SchemaError(f"cannot parse --x-range {text!r}") from exc
+    _require(np.isfinite([lo, hi]).all(), f"--x-range bounds must be finite, not {text!r}")
     _require(count >= 1, "--x-range count must be >= 1")
     return np.linspace(lo, hi, count)
 

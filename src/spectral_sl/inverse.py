@@ -35,11 +35,10 @@ from .errors import (
     NoData,
     NonRealBeta,
 )
-from .scattering import coefficient_evaluators, pole_strengths, richardson_limit
+from .scattering import coefficient_evaluators, pole_circle, pole_strengths, richardson_limit
 from .spectrum import scan_spectrum
 
-#: Far-field evaluation ring used by the asymptotic beta recovery; sampled
-#: exports carry these points, so the fallback works through files too.
+#: Far-field evaluation ring used by the asymptotic beta recovery.
 FALLBACK_RADII = (50.0, 100.0, 200.0, 400.0, 800.0, 1600.0)
 FALLBACK_DIRECTION = complex(np.exp(0.25j * np.pi))
 #: The far-field points r * FALLBACK_DIRECTION, in the order of FALLBACK_RADII.
@@ -84,7 +83,7 @@ class SampledProvider:
     A query is answered only by the sample stored at that exact point (the
     first of two at one point wins), whatever else its batch holds; a query
     with none raises InsufficientSamples.  A spectral-data export holds
-    every point the inverse reads.
+    the points of `sample_points`, which are those the inverse reads.
     """
 
     def __init__(self, points: Sequence[complex], c11: Sequence[complex],
@@ -157,19 +156,23 @@ def recover_diagonal(provider, n_max: int) -> tuple[list, list]:
     return [v if ok else 0.0 + 0.0j for v, ok in zip(values.tolist(), flags)], flags
 
 
-def _beta_from_eigenvalues(provider, eigenvalues) -> complex:
-    # c11 at every lam, then at every -lam, in one call
-    lams = [lam for lam, _sector, _mult in eigenvalues]
-    both = provider.eval_c11(np.array(lams + [-lam for lam in lams])).tolist()
-    vals = [1j * a * b for a, b in zip(both[: len(lams)], both[len(lams):])]
-    return complex(np.mean(vals))
+def _beta_points(eigenvalues) -> tuple[np.ndarray, bool]:
+    """The points beta is read from, and whether they are the eigenvalue
+    path's: every sector 0 lam, then every -lam, where c11 is read; with no
+    sector 0 eigenvalue, the far-field FALLBACK_POINTS, where c12 is read."""
+    lams = [lam for lam, sector, _mult in eigenvalues if sector == 0]
+    if lams:
+        return np.array(lams + [-lam for lam in lams], dtype=complex), True
+    return FALLBACK_POINTS, False
 
 
-def _beta_from_asymptote(provider) -> complex:
-    # c12 -> -(1 + i beta)/2 with a power series in 1/|lambda|
-    samples = [1j * (2.0 * c + 1.0) for c in provider.eval_c12(FALLBACK_POINTS).tolist()]
-    # order by decreasing step h = 1/r; radii double, so the ratio is 2
-    return richardson_limit(samples, 2.0)
+def sample_points(eigenvalues, n_max: int) -> np.ndarray:
+    """Every point `reconstruct` reads for this eigenvalue list, each once:
+    the pole circles `pole_circle(n)` for n = 1 ... n_max, then the beta
+    points of `_beta_points`, so 32 n_max + 2 (sector 0 eigenvalues) points,
+    or 32 n_max + 6 when there is none."""
+    circles = pole_circle(np.arange(1, n_max + 1)).reshape(-1)
+    return np.concatenate([circles, _beta_points(eigenvalues)[0]])
 
 
 def recover_beta(provider, imag_tol: float = 1e-6) -> float:
@@ -177,21 +180,26 @@ def recover_beta(provider, imag_tol: float = 1e-6) -> float:
 
     Uses i c11(lam_n) c11(-lam_n) averaged over the first-quadrant
     eigenvalues when any exist; otherwise extrapolates the large-lambda
-    limit of c12 along the first-quadrant diagonal.  An estimate that is
-    not finite, or has a non-positive real part or a non-negligible
-    imaginary part, means the data is inconsistent and raises NonRealBeta.
+    limit of c12 along the first-quadrant diagonal.  Either path reads its
+    points (`_beta_points`) in one call.  An estimate that is not finite, or
+    has a non-positive real part or a non-negligible imaginary part, means
+    the data is inconsistent and raises NonRealBeta.
     """
-    s0_eigs = [e for e in provider.eigenvalues if e[1] == 0]
-    est = None
-    if s0_eigs:
-        est = _beta_from_eigenvalues(provider, s0_eigs)
+    points, on_eigenvalues = _beta_points(provider.eigenvalues)
+    if on_eigenvalues:
+        c11 = provider.eval_c11(points).tolist()
+        half = len(c11) // 2
+        est = complex(np.mean([1j * a * b for a, b in zip(c11[:half], c11[half:])]))
     else:
         try:
-            est = _beta_from_asymptote(provider)
+            c12 = provider.eval_c12(points).tolist()
         except InsufficientSamples as exc:
             raise NoData(
                 "no eigenvalues and no far-field samples for the asymptotic path"
             ) from exc
+        # c12 -> -(1 + i beta)/2 with a power series in 1/|lambda|, ordered
+        # by decreasing step h = 1/r; radii double, so the ratio is 2
+        est = richardson_limit([1j * (2.0 * c + 1.0) for c in c12], 2.0)
     if not (np.isfinite(est) and est.real > 0.0):
         raise NonRealBeta(f"recovered beta {est} is not finite with a positive real part")
     if abs(est.imag) >= imag_tol:

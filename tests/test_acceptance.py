@@ -26,8 +26,8 @@ from spectral_sl import (
     sampled_provider,
     wronskian,
 )
-from spectral_sl.cli import RunConfig, main, sample_points, spectral_data_to_dict
-from spectral_sl.inverse import AnalyticProvider
+from spectral_sl.cli import main, spectral_data_to_dict
+from spectral_sl.inverse import AnalyticProvider, sample_points
 from spectral_sl.scattering import matching_coefficients_f1, matching_coefficients_f2
 
 from .conftest import centred_limit, offlattice_lambda, random_potential
@@ -218,8 +218,7 @@ def test_criterion_6_inverse_roundtrip(tmp_path):
             if abs(res.q[n - 1] - truth) > 1e-6 * max(1.0, abs(truth)):
                 problems.append(f"case {case}: analytic q_{n} error")
         # file path: export the sampled data, read it back, reconstruct
-        config = RunConfig(command="forward", inputs=[], order=30, n_max=5)
-        pts = sample_points(config, analytic.eigenvalues)
+        pts = sample_points(analytic.eigenvalues, 5)
         data = spectral_data_to_dict(
             analytic.eigenvalues,
             pts,

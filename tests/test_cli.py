@@ -7,10 +7,14 @@ import pytest
 
 from spectral_sl import (
     AnalyticProvider,
+    FourierPotential,
+    SampledProvider,
     SchemaError,
     build_table,
+    coefficient_evaluators,
     eval_f1,
     eval_f2,
+    reconstruct,
     sampled_provider,
 )
 from spectral_sl import cli
@@ -20,7 +24,7 @@ from spectral_sl.cli import (
     main,
     spectrum_report_to_dict,
 )
-from spectral_sl.inverse import FALLBACK_RADII, ReconstructionResult, recover_diagonal
+from spectral_sl.inverse import FALLBACK_POINTS, ReconstructionResult, recover_diagonal
 from spectral_sl.scattering import pole_circle
 from spectral_sl.solutions import ode_residual
 from spectral_sl.spectrum import SpectrumReport, EigenvalueHit, Singularity
@@ -235,9 +239,11 @@ class TestExportRaster:
         plain = load_spectral_data(exports / "plain" / "spectral-data.json")
         n_eig = len(plain["eigenvalues"])
         assert n_eig == 6
-        # the pole-strength circle at each n/2, the far-field points, and
-        # +/- one member of each eigenvalue pair lam, -lam
-        assert len(plain["samples"]) == 32 * 6 + len(FALLBACK_RADII) + n_eig
+        # the pole-strength circle at each n/2 and +/- the one sector 0
+        # eigenvalue; no far-field points, which only the eigenvalue-free
+        # beta path reads
+        assert [e["sector"] for e in plain["eigenvalues"]].count(0) == 1
+        assert len(plain["samples"]) == 32 * 6 + 2
 
     def test_file_diagonal_matches_analytic(self, exports):
         # the file holds the pole-strength circles exactly, so the diagonal
@@ -254,6 +260,81 @@ class TestExportRaster:
         assert abs(rec["beta"] - EIG_POTENTIAL.beta) < 1e-6
         for n, pair in enumerate(rec["q"], start=1):
             assert abs(complex(*pair) - EIG_POTENTIAL.harmonic(n)) < 1e-6 * max(1.0, abs(EIG_POTENTIAL.harmonic(n)))
+
+
+class RecordingProvider:
+    """Another provider's data, recording every point either evaluator is
+    asked for."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.eigenvalues = inner.eigenvalues
+        self.queried = set()
+
+    def eval_c11(self, lam):
+        self.queried.update(np.ravel(lam).tolist())
+        return self.inner.eval_c11(lam)
+
+    def eval_c12(self, lam):
+        self.queried.update(np.ravel(lam).tolist())
+        return self.inner.eval_c12(lam)
+
+
+#: EIG_POTENTIAL reads beta at its sector 0 eigenvalue; q = (1,) has no
+#: eigenvalue and reads the far field; h1-6 has sector 1 and 3 eigenvalues
+#: only, so it reads the far field too and none of its eigenvalues.
+PLAN_POTENTIALS = pytest.mark.parametrize("potential, n_eig, n_samples", [
+    (EIG_POTENTIAL, 6, 32 * 6 + 2),
+    (FourierPotential(beta=1.0, q=(1.0,)), 0, 32 * 6 + 6),
+    (FourierPotential(beta=1.79, q=(-1.01 - 3.29j,)), 6, 32 * 6 + 6),
+], ids=["eig", "empty", "h1-6"])
+
+
+def _forward(tmp_path, potential) -> dict:
+    pot = tmp_path / "p.json"
+    write_potential(pot, potential.beta, potential.q)
+    assert main(["forward", str(pot), "--out", str(tmp_path)]) == 0
+    return load_spectral_data(tmp_path / "spectral-data.json")
+
+
+def _earlier_layout(data, potential) -> dict:
+    """The same export in the earlier layout: meta.beta_hint, the far-field
+    points after the circles whatever the spectrum, then +/- every sector 0
+    and 3 eigenvalue; a point the export lacks gets forward-model values."""
+    stored = {complex(s["re"], s["im"]): s for s in data["samples"]}
+    lams = [complex(e["re"], e["im"]) for e in data["eigenvalues"] if e["sector"] in (0, 3)]
+    points = list(stored)[: 32 * data["meta"]["n_max"]] + FALLBACK_POINTS.tolist()
+    points += [p for lam in lams for p in (lam, -lam)]
+    missing = np.array([p for p in points if p not in stored], dtype=complex)
+    c11_fn, c12_fn = coefficient_evaluators(build_table(potential, 30), potential.beta)
+    for p, a, b in zip(missing.tolist(), c11_fn(missing).tolist(), c12_fn(missing).tolist()):
+        stored[p] = {"re": p.real, "im": p.imag, "c11": [a.real, a.imag], "c12": [b.real, b.imag]}
+    meta = {"beta_hint": potential.beta, **data["meta"]}
+    return {"eigenvalues": data["eigenvalues"], "samples": [stored[p] for p in points], "meta": meta}
+
+
+class TestSamplePlan:
+    @PLAN_POTENTIALS
+    def test_export_is_the_read_set(self, tmp_path, potential, n_eig, n_samples):
+        data = _forward(tmp_path, potential)
+        assert len(data["eigenvalues"]) == n_eig
+        assert data["meta"] == {"n_max": 6, "A": 30}
+        points = [complex(s["re"], s["im"]) for s in data["samples"]]
+        assert len(points) == len(set(points)) == n_samples
+        provider = RecordingProvider(SampledProvider.from_dict(data))
+        reconstruct(provider, n_max=6)
+        assert provider.queried == set(points)
+
+    @PLAN_POTENTIALS
+    def test_earlier_layout_inverts_to_the_same_bytes(self, tmp_path, potential, n_eig, n_samples):
+        data = _forward(tmp_path, potential)
+        old = _earlier_layout(data, potential)
+        assert len(old["samples"]) == 32 * 6 + 6 + n_eig
+        (tmp_path / "old.json").write_text(json.dumps(old))
+        for name in ("spectral-data", "old"):
+            args = ["inverse", str(tmp_path / f"{name}.json"), "--out", str(tmp_path / f"rec-{name}.json")]
+            assert main(args) == 0
+        assert (tmp_path / "rec-old.json").read_bytes() == (tmp_path / "rec-spectral-data.json").read_bytes()
 
 
 class TestInverseCommand:
@@ -477,6 +558,20 @@ class TestEvalCommand:
             "eval", str(pot), "--lambda", "huh", "--x-range", "0:1:2",
             "--solution", "f1+",
         ]) == 1
+
+    @pytest.mark.parametrize("lam,x_range", [
+        ("nan", "0:1:3"), ("1e400", "0:1:3"), ("1+nani", "0:1:3"),
+        ("1+1i", "0:nan:3"), ("1+1i", "0:inf:3"), ("1+1i", "-inf:1:3"),
+    ])
+    def test_non_finite_argument_exits_one(self, tmp_path, capsys, lam, x_range):
+        pot = tmp_path / "p.json"
+        write_potential(pot, 1.0, [])
+        assert main([
+            "eval", str(pot), "--lambda", lam, "--x-range", x_range,
+            "--solution", "f1+", "--out", str(tmp_path / "c.csv"),
+        ]) == 1
+        assert "must be finite" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [pot]
 
 
 class TestSpectrumCommand:

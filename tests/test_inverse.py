@@ -18,8 +18,7 @@ from spectral_sl import (
     recover_diagonal,
     reconstruct,
 )
-from spectral_sl.cli import RunConfig, sample_points
-from spectral_sl.inverse import FALLBACK_DIRECTION, FALLBACK_RADII
+from spectral_sl.inverse import FALLBACK_DIRECTION, FALLBACK_RADII, sample_points
 
 from .conftest import EIG_POTENTIAL, random_potential
 
@@ -27,8 +26,7 @@ from .conftest import EIG_POTENTIAL, random_potential
 def make_sampled(potential, n_max=5, analytic=None):
     """File-grade sample set for a potential, returned as a provider."""
     prov = analytic or AnalyticProvider(potential, 30)
-    config = RunConfig(command="forward", inputs=[], order=30, n_max=n_max)
-    pts = sample_points(config, prov.eigenvalues)
+    pts = sample_points(prov.eigenvalues, n_max)
     return SampledProvider(pts, prov.eval_c11(pts), prov.eval_c12(pts), prov.eigenvalues)
 
 
@@ -139,11 +137,14 @@ class TestRecoverBeta:
         assert abs(recover_beta(with_eig) - recover_beta(without)) < 1e-6
 
     def test_one_call_per_beta_path(self):
-        sampled = make_sampled(EIG_POTENTIAL, n_max=1)
-        with_eig = CountingProvider(sampled)
+        analytic = AnalyticProvider(EIG_POTENTIAL, 30)
+        with_eig = CountingProvider(make_sampled(EIG_POTENTIAL, n_max=1, analytic=analytic))
         recover_beta(with_eig)
         assert with_eig.calls == {"c11": 1}
-        far_field = CountingProvider(sampled, eigenvalues=[])
+        # the plan of an eigenvalue-free spectrum holds the far-field points
+        pts = sample_points([], 1)
+        sampled = SampledProvider(pts, analytic.eval_c11(pts), analytic.eval_c12(pts))
+        far_field = CountingProvider(sampled)
         recover_beta(far_field)
         assert far_field.calls == {"c12": 1}
 
@@ -286,8 +287,7 @@ class TestSampledProvider:
         assert abs(res.q[0] - (4 + 4j)) < 1e-4
 
     def test_farfield_clusters_cover_fallback_ring(self):
-        config = RunConfig(command="forward", inputs=[])
-        pts = sample_points(config, [])
+        pts = sample_points([], 6)
         # the asymptotic beta path queries exactly these points
         listed = pts.tolist()
         for r in FALLBACK_RADII:
