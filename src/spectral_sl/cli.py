@@ -27,7 +27,10 @@ spectrum-report.json  {"eigenvalues": [{"re","im","sector","multiplicity",
 reconstruction.json   {"beta": <float>, "q": [[re, im], ...],
                        "diagnostics": {...}}
 
-Exit codes: 0 success, 1 schema error, 2 numerical error, 3 I/O error.
+Exit codes: 0 success, 1 schema error, 2 numerical error, 3 I/O error.  A
+usage error is a schema error.  Each command checks only the options it
+reads: order >= n_max >= 1 where the spectrum is scanned, n_max >= 1 for
+the inverse of a file (whose meta.n_max wins), order >= 1 for eval.
 """
 
 from __future__ import annotations
@@ -38,7 +41,6 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,25 +53,6 @@ from .spectrum import SpectrumReport, scan_spectrum
 
 #: Largest relative error of beta and q that `inverse --self-test` passes.
 SELF_TEST_TOL = 1e-6
-
-
-@dataclass
-class RunConfig:
-    """Parsed command-line invocation."""
-
-    command: str
-    inputs: list = field(default_factory=list)
-    order: int = 30
-    n_max: int = 6
-    tol: float = 1e-9
-    out: str = "."
-    self_test: str | None = None
-
-    def __post_init__(self):
-        if self.n_max < 1 or self.order < self.n_max:
-            raise SchemaError("require order >= n_max >= 1")
-        if self.tol <= 0:
-            raise SchemaError("tolerances must be positive")
 
 
 # --- JSON helpers ----------------------------------------------------------
@@ -237,20 +220,21 @@ def reconstruction_to_dict(result) -> dict:
     }
 
 
-def _scan(config: RunConfig, potential: FourierPotential):
+def _scan(potential: FourierPotential, order: int, n_max: int):
     """The potential's table and its spectrum report."""
-    table = build_table(potential, config.order)
-    return table, scan_spectrum(table, potential.beta, n_max=config.n_max, tol=config.tol)
+    _require(order >= n_max >= 1, "require order >= n_max >= 1")
+    table = build_table(potential, order)
+    return table, scan_spectrum(table, potential.beta, n_max=n_max)
 
 
-def _forward_products(config: RunConfig, potential: FourierPotential):
-    table, report = _scan(config, potential)
+def _forward_products(potential: FourierPotential, order: int, n_max: int):
+    table, report = _scan(potential, order, n_max)
     eigenvalues = [(h.lam, h.sector, h.multiplicity) for h in report.eigenvalues]
-    points = sample_points(eigenvalues, config.n_max)
+    points = sample_points(eigenvalues, n_max)
     c11_fn, c12_fn = coefficient_evaluators(table, potential.beta)
     c11 = c11_fn(points)
     c12 = c12_fn(points)
-    meta = {"n_max": config.n_max, "A": config.order}
+    meta = {"n_max": n_max, "A": order}
     data = spectral_data_to_dict(eigenvalues, points, c11, c12, meta)
     return data, spectrum_report_to_dict(report)
 
@@ -258,33 +242,32 @@ def _forward_products(config: RunConfig, potential: FourierPotential):
 # --- commands ---------------------------------------------------------------
 
 
-def cmd_forward(config: RunConfig) -> int:
+def cmd_forward(args) -> int:
     """forward and export-spectral-data: the same products, of which
     export-spectral-data writes only the spectral data."""
-    potential = load_potential(config.inputs[0])
-    data, report = _forward_products(config, potential)
-    os.makedirs(config.out, exist_ok=True)
-    _write_json(os.path.join(config.out, "spectral-data.json"), data)
-    if config.command == "forward":
-        _write_json(os.path.join(config.out, "spectrum-report.json"), report)
+    data, report = _forward_products(load_potential(args.input), args.order, args.nmax)
+    os.makedirs(args.out, exist_ok=True)
+    _write_json(os.path.join(args.out, "spectral-data.json"), data)
+    if args.command == "forward":
+        _write_json(os.path.join(args.out, "spectrum-report.json"), report)
     return 0
 
 
-def cmd_spectrum(config: RunConfig) -> int:
-    _table, report = _scan(config, load_potential(config.inputs[0]))
-    os.makedirs(config.out, exist_ok=True)
-    _write_json(os.path.join(config.out, "spectrum-report.json"), spectrum_report_to_dict(report))
+def cmd_spectrum(args) -> int:
+    _table, report = _scan(load_potential(args.input), args.order, args.nmax)
+    os.makedirs(args.out, exist_ok=True)
+    _write_json(os.path.join(args.out, "spectrum-report.json"), spectrum_report_to_dict(report))
     return 0
 
 
-def cmd_inverse(config: RunConfig) -> int:
-    if config.self_test:
-        potential = load_potential(config.self_test)
-        data, _report = _forward_products(config, potential)
+def cmd_inverse(args) -> int:
+    if args.self_test:
+        potential = load_potential(args.self_test)
+        data, _report = _forward_products(potential, args.order, args.nmax)
         provider = SampledProvider.from_dict(data)
-        result = reconstruct(provider, n_max=config.n_max, order=config.order)
+        result = reconstruct(provider, n_max=args.nmax)
         errs = [abs(result.beta - potential.beta) / abs(potential.beta)]
-        for n in range(1, config.n_max + 1):
+        for n in range(1, args.nmax + 1):
             truth = potential.harmonic(n)
             got = result.q[n - 1]
             errs.append(abs(got - truth) / max(1.0, abs(truth)))
@@ -294,10 +277,11 @@ def cmd_inverse(config: RunConfig) -> int:
             print(f"self-test error above {SELF_TEST_TOL:.0e}", file=sys.stderr)
             return 2
         return 0
-    provider = sampled_provider(config.inputs[0])
-    n_max = provider.meta.get("n_max", config.n_max)  # validated by the loader
-    result = reconstruct(provider, n_max=n_max, order=max(config.order, n_max))
-    _write_json(_out_path(config.out, "reconstruction.json"), reconstruction_to_dict(result))
+    _require(args.input, "inverse needs a data file or --self-test")
+    _require(args.nmax >= 1, "require n_max >= 1")
+    provider = sampled_provider(args.input)
+    result = reconstruct(provider, provider.meta.get("n_max", args.nmax))  # validated by the loader
+    _write_json(_out_path(args.out, "reconstruction.json"), reconstruction_to_dict(result))
     return 0
 
 
@@ -322,11 +306,13 @@ def _parse_range(text: str):
     return np.linspace(lo, hi, count)
 
 
-def cmd_eval(config: RunConfig, lam: complex, x_range, which: str) -> int:
-    potential = load_potential(config.inputs[0])
-    table = build_table(potential, config.order)
-    out = _out_path(config.out, "solution.csv")
-    f, df, res = eval_with_residual(potential, table, lam, x_range, which)
+def cmd_eval(args) -> int:
+    _require(args.order >= 1, "require order >= 1")
+    lam, x_range = _parse_lambda(args.lam), _parse_range(args.x_range)
+    potential = load_potential(args.input)
+    table = build_table(potential, args.order)
+    out = _out_path(args.out, "solution.csv")
+    f, df, res = eval_with_residual(potential, table, lam, x_range, args.solution)
     lines = ["x,re,im,d_re,d_im,ode_residual_abs"]
     # Python abs per row: the residual column must not depend on the grid
     for x, v, d, r in zip(x_range.tolist(), f.tolist(), df.tolist(), res.tolist()):
@@ -338,39 +324,39 @@ def cmd_eval(config: RunConfig, lam: complex, x_range, which: str) -> int:
 # --- entry point -------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a schema error (exit 1), not argparse's exit 2."""
+
+    def error(self, message):
+        raise SchemaError(f"{self.prog}: {message}")
+
+
 @functools.cache  # one per process: building costs some 20-35 parses
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="spectral-sl",
         description="forward and inverse spectral computations for the "
         "indefinite-density operator with exponential potential",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_input=True):
-        if needs_input:
-            p.add_argument("input", help="input JSON file")
+    def command(name, run, text, input_help="input JSON file", input_nargs=None):
+        p = sub.add_parser(name, help=text)
+        p.set_defaults(run=run)
+        p.add_argument("input", nargs=input_nargs, help=input_help)
         p.add_argument("-A", "--order", type=int, default=30, help="series truncation order")
-        p.add_argument("--nmax", type=int, default=6, help="number of recovered harmonics / singular points")
-        p.add_argument("--tol", type=float, default=1e-9,
-                       help="eigenvalue tolerance: bound on the last Newton step, relative to "
-                       "1 + |lambda|; zeros within max(100 tol, 1e-7) are merged")
+        p.add_argument("--nmax", type=int, default=6,
+                       help="number of recovered harmonics / singular points")
         p.add_argument("--out", default=".", help="output directory or file")
+        return p
 
-    for name, text in (
-        ("forward", "spectral data + spectrum report from a potential"),
-        ("export-spectral-data", "spectral data only"),
-        ("spectrum", "spectrum report only"),
-    ):
-        common(sub.add_parser(name, help=text))
-
-    p = sub.add_parser("inverse", help="reconstruct (beta, q) from spectral data")
-    common(p, needs_input=False)
-    p.add_argument("input", nargs="?", help="spectral-data JSON file")
+    command("forward", cmd_forward, "spectral data + spectrum report from a potential")
+    command("export-spectral-data", cmd_forward, "spectral data only")
+    command("spectrum", cmd_spectrum, "spectrum report only")
+    p = command("inverse", cmd_inverse, "reconstruct (beta, q) from spectral data",
+                "spectral-data JSON file", "?")
     p.add_argument("--self-test", help="potential file for an in-process forward+inverse round trip")
-
-    p = sub.add_parser("eval", help="sample one solution on an x grid as CSV")
-    common(p)
+    p = command("eval", cmd_eval, "sample one solution on an x grid as CSV")
     p.add_argument("--lambda", dest="lam", required=True, help="spectral parameter, e.g. 1+2i")
     p.add_argument("--x-range", required=True, help="lo:hi:count")
     p.add_argument(
@@ -379,20 +365,7 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=["f1+", "f1-", "f2+", "f2-"],
         help="which solution branch to sample",
     )
-
     return parser
-
-
-def _config_from_args(args) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        inputs=[args.input] if getattr(args, "input", None) else [],
-        order=args.order,
-        n_max=args.nmax,
-        tol=args.tol,
-        out=args.out,
-        self_test=getattr(args, "self_test", None),
-    )
 
 
 def main(argv=None) -> int:
@@ -401,22 +374,9 @@ def main(argv=None) -> int:
         # argparse reads a value such as '-6:-1:5' as a flag unless attached
         if argv[i - 1] in ("--x-range", "--lambda") and re.match(r"-[\d.ij]", argv[i]):
             argv[i - 1 : i + 1] = [f"{argv[i - 1]}={argv[i]}"]
-    args = _build_parser().parse_args(argv)
     try:
-        config = _config_from_args(args)
-        if args.command in ("forward", "export-spectral-data"):
-            return cmd_forward(config)
-        if args.command == "spectrum":
-            return cmd_spectrum(config)
-        if args.command == "inverse":
-            if not config.inputs and not config.self_test:
-                raise SchemaError("inverse needs a data file or --self-test")
-            return cmd_inverse(config)
-        if args.command == "eval":
-            return cmd_eval(
-                config, _parse_lambda(args.lam), _parse_range(args.x_range), args.solution
-            )
-        raise SchemaError(f"unknown command {args.command!r}")
+        args = _build_parser().parse_args(argv)
+        return args.run(args)
     except SchemaError as exc:
         print(f"schema error: {exc}", file=sys.stderr)
         return 1

@@ -43,6 +43,8 @@ FALLBACK_RADII = (50.0, 100.0, 200.0, 400.0, 800.0, 1600.0)
 FALLBACK_DIRECTION = complex(np.exp(0.25j * np.pi))
 #: The far-field points r * FALLBACK_DIRECTION, in the order of FALLBACK_RADII.
 FALLBACK_POINTS = np.array([r * FALLBACK_DIRECTION for r in FALLBACK_RADII])
+#: The largest |Im beta| a consistent recovery may leave.
+IMAG_TOL = 1e-6
 
 
 @dataclass
@@ -175,15 +177,15 @@ def sample_points(eigenvalues, n_max: int) -> np.ndarray:
     return np.concatenate([circles, _beta_points(eigenvalues)[0]])
 
 
-def recover_beta(provider, imag_tol: float = 1e-6) -> float:
+def recover_beta(provider) -> float:
     """Density parameter from the spectral data.
 
     Uses i c11(lam_n) c11(-lam_n) averaged over the first-quadrant
     eigenvalues when any exist; otherwise extrapolates the large-lambda
     limit of c12 along the first-quadrant diagonal.  Either path reads its
     points (`_beta_points`) in one call.  An estimate that is not finite, or
-    has a non-positive real part or a non-negligible imaginary part, means
-    the data is inconsistent and raises NonRealBeta.
+    has a non-positive real part or an imaginary part of at least
+    `IMAG_TOL`, means the data is inconsistent and raises NonRealBeta.
     """
     points, on_eigenvalues = _beta_points(provider.eigenvalues)
     if on_eigenvalues:
@@ -202,22 +204,17 @@ def recover_beta(provider, imag_tol: float = 1e-6) -> float:
         est = richardson_limit([1j * (2.0 * c + 1.0) for c in c12], 2.0)
     if not (np.isfinite(est) and est.real > 0.0):
         raise NonRealBeta(f"recovered beta {est} is not finite with a positive real part")
-    if abs(est.imag) >= imag_tol:
-        raise NonRealBeta(f"recovered beta {est} has imaginary part >= {imag_tol}")
+    if abs(est.imag) >= IMAG_TOL:
+        raise NonRealBeta(f"recovered beta {est} has imaginary part >= {IMAG_TOL}")
     return float(est.real)
 
 
-def reconstruct(provider, n_max: int, order: int | None = None) -> ReconstructionResult:
+def reconstruct(provider, n_max: int) -> ReconstructionResult:
     """Full recovery (beta, q_1 ... q_n_max) with per-step diagnostics.
 
-    ``order`` bounds the truncation used on the provider side and must be
-    at least n_max; the rebuilt table itself is of size n_max, which is all
-    the first n_max harmonics require.
+    The rebuilt table is of size n_max, which is all the first n_max
+    harmonics require.
     """
-    if order is None:
-        order = max(n_max, 30)
-    if n_max > order:
-        raise ValueError("n_max must not exceed the truncation order")
     diag, flags = recover_diagonal(provider, n_max)
     table = table_from_diagonal(diag)
     q = harmonics_from_table(table)

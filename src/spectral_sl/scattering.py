@@ -101,12 +101,8 @@ def coefficient_evaluators(
     return evaluator("c11"), evaluator("c12")
 
 
-def connection_coefficients(
-    table: CoefficientTable,
-    beta: float,
-    lam: complex,
-    pole_tol: float = POLE_TOL,
-) -> ConnectionCoefficients:
+def connection_coefficients(table: CoefficientTable, beta: float,
+                            lam: complex) -> ConnectionCoefficients:
     """All four coefficients at lam, each from its own Wronskian at x = 0.
 
     The cross identities relating them are not used in the construction, so
@@ -115,32 +111,30 @@ def connection_coefficients(
     lam = complex(lam)
     c11, c12, c21, c22 = (
         complex(c[0])
-        for c in _coefficients(table, beta, lam, ("c11", "c12", "c21", "c22"), pole_tol)
+        for c in _coefficients(table, beta, lam, ("c11", "c12", "c21", "c22"), POLE_TOL)
     )
     return ConnectionCoefficients(lam=lam, c11=c11, c12=c12, c21=c21, c22=c22)
 
 
-def matching_coefficients_f1(
-    table: CoefficientTable, beta: float, lam: complex, pole_tol: float = POLE_TOL
-) -> tuple[complex, complex]:
+def matching_coefficients_f1(table: CoefficientTable, beta: float,
+                             lam: complex) -> tuple[complex, complex]:
     """Coefficients (a, b) with f1+ = a f2+ + b f2- on x < 0.
 
     Built only from the exponential-family Wronskians, so it stays finite at
     the real half-integer points where c11 itself blows up.
     """
-    c22, c21 = _coefficients(table, beta, complex(lam), ("c22", "c21"), pole_tol)
+    c22, c21 = _coefficients(table, beta, complex(lam), ("c22", "c21"), POLE_TOL)
     return -complex(c22[0]), -complex(c21[0])
 
 
-def matching_coefficients_f2(
-    table: CoefficientTable, beta: float, lam: complex, pole_tol: float = POLE_TOL
-) -> tuple[complex, complex]:
+def matching_coefficients_f2(table: CoefficientTable, beta: float,
+                             lam: complex) -> tuple[complex, complex]:
     """Coefficients (a, b) with f2+ = a f1+ + b f1- on x >= 0.
 
     Built only from the oscillatory-family Wronskians; finite at the
     imaginary lattice points where c22 blows up.
     """
-    c11, c12 = _coefficients(table, beta, complex(lam), ("c11", "c12"), pole_tol)
+    c11, c12 = _coefficients(table, beta, complex(lam), ("c11", "c12"), POLE_TOL)
     return -complex(c11[0]), -complex(c12[0])
 
 
@@ -173,9 +167,12 @@ def pole_circle(n) -> np.ndarray:
     return np.asarray(n)[..., None] / 2.0 + _CIRCLE_OFFSETS
 
 
-def pole_strengths(
-    c11_fn: Callable, c12_fn: Callable, ns, rel_tol: float = 1e-6
-) -> tuple[np.ndarray, list]:
+#: A pole strength is rejected when the mean over every other circle point
+#: differs from the full mean by more than SETTLE_TOL * max(1, |estimate|).
+SETTLE_TOL = 1e-6
+
+
+def pole_strengths(c11_fn: Callable, c12_fn: Callable, ns) -> tuple[np.ndarray, list]:
     """Diagonal table entries V[n, n] = -lim (n - 2 lam) c11/c12 at n/2 for
     each n in ns, and for each None or the reason its estimate is rejected.
 
@@ -184,9 +181,9 @@ def pole_strengths(
     called once, on the points of every circle in one flat array.  A circle
     is rejected on a non-finite sample, when c12 winds around a zero inside
     it (an arg step >= pi/2 or a nonzero total turn), and when the mean over
-    every other point differs by more than rel_tol * max(1, |estimate|), as
-    it does for a zero of c12 just outside; a rejection leaves the other
-    circles' estimates alone.
+    every other point is off by more than `SETTLE_TOL`, as it is for a zero
+    of c12 just outside; a rejection leaves the other circles' estimates
+    alone.
     """
     ns = np.asarray(ns)
     lam = pole_circle(ns)
@@ -200,7 +197,7 @@ def pole_strengths(
         steps = np.angle(np.roll(c12, -1, axis=1) / c12)
         finite = np.isfinite(g).all(axis=1)
         winds = (np.abs(steps).max(axis=1) >= np.pi / 2) | (np.abs(steps.sum(axis=1)) > np.pi)
-        unsettled = np.abs(full - half) > rel_tol * np.maximum(1.0, np.abs(full))
+        unsettled = np.abs(full - half) > SETTLE_TOL * np.maximum(1.0, np.abs(full))
     reasons = [None] * len(ns)
     for i in np.flatnonzero(~finite | winds | unsettled).tolist():
         n = ns[i]
@@ -213,12 +210,12 @@ def pole_strengths(
     return full, reasons
 
 
-def pole_strength(c11_fn: Callable, c12_fn: Callable, n: int, rel_tol: float = 1e-6) -> complex:
+def pole_strength(c11_fn: Callable, c12_fn: Callable, n: int) -> complex:
     """`pole_strengths` for the one circle at n/2 (a positive integer n);
     a rejected estimate raises ExtrapolationDivergence with its reason."""
     if n < 1:
         raise ValueError("n must be a positive integer")
-    (value,), (reason,) = pole_strengths(c11_fn, c12_fn, [n], rel_tol)
+    (value,), (reason,) = pole_strengths(c11_fn, c12_fn, [n])
     if reason is not None:
         raise ExtrapolationDivergence(reason)
     return complex(value)

@@ -114,45 +114,33 @@ def _series(table: CoefficientTable, k, x, scale: float = 1.0,
     return tuple(derivs)
 
 
-def _sample(table: CoefficientTable, beta: float, which: str, lam, x, pole_tol) -> SolutionSample:
+def _sample(table: CoefficientTable, beta: float, which: str, lam, x) -> SolutionSample:
     """One branch at one (x, lam)."""
     k, scale = _exponent(which, complex(lam), beta)
-    f, df = _series(table, k, x, scale, pole_tol)
+    f, df = _series(table, k, x, scale)
     return SolutionSample(complex(f[0]), complex(df[0]))
 
 
-def eval_f1(
-    table: CoefficientTable,
-    lam: complex,
-    x,
-    branch: str = "+",
-    pole_tol: float = POLE_TOL,
-) -> SolutionSample:
+def eval_f1(table: CoefficientTable, lam: complex, x, branch: str = "+") -> SolutionSample:
     """Evaluate the oscillatory-family solution and its x-derivative.
 
     x may be complex (the series is entire in x), which is how the
     normalisation at Im x -> infinity is checked in practice.
 
-    Raises PoleProximity when lam is within ``pole_tol`` of the branch's
+    Raises PoleProximity when lam is within `POLE_TOL` of the branch's
     pole lattice; use `eval_fn_limit` there instead.
     """
-    return _sample(table, 1.0, "f1" + branch, lam, x, pole_tol)
+    return _sample(table, 1.0, "f1" + branch, lam, x)
 
 
-def eval_f2(
-    table: CoefficientTable,
-    beta: float,
-    lam: complex,
-    x,
-    branch: str = "+",
-    pole_tol: float = POLE_TOL,
-) -> SolutionSample:
+def eval_f2(table: CoefficientTable, beta: float, lam: complex, x,
+            branch: str = "+") -> SolutionSample:
     """Evaluate the exponential-family solution and its x-derivative.
 
     Both branches share the table used by `eval_f1`; only the exponent k
     differs.
     """
-    return _sample(table, beta, "f2" + branch, lam, x, pole_tol)
+    return _sample(table, beta, "f2" + branch, lam, x)
 
 
 def eval_fn_limit(table: CoefficientTable, n: int, x, sign: str = "+") -> complex:
@@ -173,7 +161,7 @@ def eval_fn_limit(table: CoefficientTable, n: int, x, sign: str = "+") -> comple
 
 
 def eval_with_residual(potential: FourierPotential, table: CoefficientTable, lam: complex,
-                       x, which: str, pole_tol: float = POLE_TOL) -> tuple:
+                       x, which: str) -> tuple:
     """Value, slope and ODE residual of one branch over the real array x,
     from a single series pass; see `ode_residual`.
 
@@ -183,30 +171,23 @@ def eval_with_residual(potential: FourierPotential, table: CoefficientTable, lam
     lam = complex(lam)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     k, scale = _exponent(which, lam, potential.beta)
-    f, df, f2d = _series(table, k, x, scale, pole_tol, second=True)
+    f, df, f2d = _series(table, k, x, scale, second=True)
     rho = np.where(x >= 0, 1.0, -(potential.beta**2))
     return f, df, -f2d + potential.at(x) * f - lam * lam * rho * f
 
 
-def ode_residual(
-    potential: FourierPotential,
-    table: CoefficientTable,
-    lam: complex,
-    x: float,
-    which: str,
-    pole_tol: float = POLE_TOL,
-) -> complex:
+def ode_residual(potential: FourierPotential, table: CoefficientTable, lam: complex, x: float,
+                 which: str) -> complex:
     """-f'' + q(x) f - lam^2 rho(x) f for one of the four truncated series.
 
     The second derivative is exact term-wise differentiation of the stored
     series.  ``which`` is one of 'f1+', 'f1-', 'f2+', 'f2-'; rho(x) is 1 for
     x >= 0 and -beta^2 otherwise (evaluate away from the jump at 0).
     """
-    return complex(eval_with_residual(potential, table, lam, x, which, pole_tol)[2][0])
+    return complex(eval_with_residual(potential, table, lam, x, which)[2][0])
 
 
-def _continued(table: CoefficientTable, beta: float, lam: complex, x: float,
-               pole_tol: float = POLE_TOL) -> SolutionSample:
+def _continued(table: CoefficientTable, beta: float, lam: complex, x: float) -> SolutionSample:
     """f2+ continued to x >= 0, or f1+ continued to x < 0: the matching
     combination of the native pair of the other family.
 
@@ -217,21 +198,16 @@ def _continued(table: CoefficientTable, beta: float, lam: complex, x: float,
     from .scattering import matching_coefficients_f1, matching_coefficients_f2
 
     if x >= 0:
-        (a, b), family = matching_coefficients_f2(table, beta, lam, pole_tol), "f1"
+        (a, b), family = matching_coefficients_f2(table, beta, lam), "f1"
     else:
-        (a, b), family = matching_coefficients_f1(table, beta, lam, pole_tol), "f2"
-    sp = _sample(table, beta, family + "+", lam, x, pole_tol)
-    sm = _sample(table, beta, family + "-", lam, x, pole_tol)
+        (a, b), family = matching_coefficients_f1(table, beta, lam), "f2"
+    sp = _sample(table, beta, family + "+", lam, x)
+    sm = _sample(table, beta, family + "-", lam, x)
     return SolutionSample(a * sp.value + b * sm.value, a * sp.derivative + b * sm.derivative)
 
 
-def extend_across_zero(
-    table: CoefficientTable,
-    potential: FourierPotential,
-    lam: complex,
-    x: float,
-    pole_tol: float = POLE_TOL,
-) -> SolutionSample:
+def extend_across_zero(table: CoefficientTable, potential: FourierPotential, lam: complex,
+                       x: float) -> SolutionSample:
     """Continue a solution across the density jump at x = 0.
 
     For x >= 0 returns the continuation of the plus exponential-family
@@ -242,4 +218,4 @@ def extend_across_zero(
     distinguished points where it exists: lam = n/2 for x < 0 and
     lam = i n/(2 beta) for x >= 0.
     """
-    return _continued(table, potential.beta, lam, x, pole_tol)
+    return _continued(table, potential.beta, lam, x)

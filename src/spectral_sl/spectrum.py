@@ -45,6 +45,11 @@ CONTINUOUS_SPECTRUM_AXES = "axes Re lambda = 0 and Im lambda = 0"
 #: left out of the report.
 DEFAULT_BOX_LIMIT = 10.0
 DEFAULT_MARGIN = 0.1
+#: An eigenvalue's last Newton step is at most NEWTON_TOL (1 + |lambda|), and
+#: zeros within max(100 NEWTON_TOL, 1e-7) of each other are merged.
+NEWTON_TOL = 1e-9
+#: `resolvent_kernel` refuses a lambda whose sector coefficient is below this.
+NEAR_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -221,7 +226,9 @@ def find_zeros(
     quartered.  A box of winding 1 <= w <= 4, the root included, first tries
     `_pencil_zeros` on the samples of its winding count: w distinct zeros
     inside a box of winding w are all of them, and simple.  Otherwise it is
-    quartered, so multiple zeros and windings > 4 reach the leaf size.
+    quartered, so multiple zeros and windings > 4 reach the leaf size.  A
+    contour through a zero retries the root on a slightly padded box, whose
+    zeros more than max(100 tol, 1e-7) outside the given box are dropped.
     ``fn`` must accept complex numpy arrays.
     """
 
@@ -269,6 +276,7 @@ def find_zeros(
         lo = lambda v: max(v - pad, 0.25 * v) if v > 0 else v - pad
         hi = lambda v: min(v + pad, 0.25 * v) if v < 0 else v + pad
         raw = recurse((lo(re_lo), hi(re_hi), lo(im_lo), hi(im_hi)), 0)
+        raw = [(z, m) for z, m in raw if _in_box(z, box, max(100.0 * tol, 1e-7))]
 
     return _merge(raw, tol)
 
@@ -378,15 +386,15 @@ def secular_zeros(d: complex, p: np.ndarray, r: np.ndarray) -> tuple:
     return np.linalg.eigvals(np.diag(p[keep]) - u[keep, None]), first_order
 
 
-def rational_zeros(d: complex, p: np.ndarray, r: np.ndarray, tol: float = 1e-9, box=None) -> list:
+def rational_zeros(d: complex, p: np.ndarray, r: np.ndarray, box=None) -> list:
     """Zeros (with multiplicity) of d + sum_j r_j/(lam - p_j), sorted by (Re, Im).
 
     The `secular_zeros` within `POLISH_PAD` of the box (all of them when box
     is None) take Newton steps with the analytic derivative until every step
-    is below tol (1 + |lam|).  A zero is kept when it is finite, its residual
-    is at most `RESIDUAL_TOL` times the scale of the terms, and it lies
-    strictly inside the box; zeros within max(100 tol, 1e-7) of each other
-    are merged and their multiplicities summed.
+    is below `NEWTON_TOL` (1 + |lam|).  A zero is kept when it is finite, its
+    residual is at most `RESIDUAL_TOL` times the scale of the terms, and it
+    lies strictly inside the box; zeros within max(100 NEWTON_TOL, 1e-7) of
+    each other are merged and their multiplicities summed.
     """
     z = np.concatenate(secular_zeros(d, p, r))
     if box is not None:
@@ -398,13 +406,13 @@ def rational_zeros(d: complex, p: np.ndarray, r: np.ndarray, tol: float = 1e-9, 
             c, dc, _scale = _rational(d, p, r, z)
             step = np.where(c == 0, 0.0, c / dc)
             z = z - step
-            if not np.any(np.abs(step) > tol * (1.0 + np.abs(z))):
+            if not np.any(np.abs(step) > NEWTON_TOL * (1.0 + np.abs(z))):
                 break
         c, _dc, scale = _rational(d, p, r, z)
         keep = np.isfinite(z) & (np.abs(c) <= RESIDUAL_TOL * scale)
     if box is not None:
         keep &= _in_box(z, box)
-    return _merge([(complex(v), 1) for v in z[keep]], tol)
+    return _merge([(complex(v), 1) for v in z[keep]], NEWTON_TOL)
 
 
 def default_sector_box(k: int):
@@ -417,32 +425,15 @@ def default_sector_box(k: int):
     }[k]
 
 
-def find_eigenvalues(
-    table: CoefficientTable,
-    beta: float,
-    sector: Sector,
-    box=None,
-    tol: float = 1e-9,
-) -> list:
-    """Eigenvalues strictly inside one quadrant rectangle, with multiplicities.
+def find_eigenvalues(table: CoefficientTable, beta: float, sector: Sector) -> list:
+    """Eigenvalues strictly inside the sector's listing box, with multiplicities.
 
-    The box (by default the sector's listing box) only selects which zeros
-    of the sector's rational form are listed; ``tol`` bounds the last
-    Newton step and sets the merge radius max(100 tol, 1e-7).  Each hit's
-    coefficient_value comes from one series evaluation at the zero.
+    The box only selects which zeros of the sector's rational form are
+    listed; `NEWTON_TOL` bounds the last Newton step and sets the merge
+    radius.  Each hit's coefficient_value comes from one series evaluation
+    at the zero.
     """
-    if box is None:
-        box = default_sector_box(sector.k)
-    else:
-        re_lo, re_hi, im_lo, im_hi = (float(v) for v in box)
-        corners = [complex(r, i) for r in (re_lo, re_hi) for i in (im_lo, im_hi)]
-        if not all(sector.contains(c) for c in corners):
-            raise ValueError(f"box {box} is not inside sector {sector.k}")
-        if min(abs(re_lo), abs(re_hi)) < DEFAULT_MARGIN - 1e-12 or min(
-            abs(im_lo), abs(im_hi)
-        ) < DEFAULT_MARGIN - 1e-12:
-            raise ValueError("box must stay at least 0.1 away from the axes")
-    zeros = rational_zeros(*rational_form(table, beta, sector.k), tol=tol, box=box)
+    zeros = rational_zeros(*rational_form(table, beta, sector.k), box=default_sector_box(sector.k))
     fn = sector_coefficient_fn(table, beta, sector.k)
     return [
         EigenvalueHit(lam=z, sector=sector.k, multiplicity=m, coefficient_value=complex(fn(z)))
@@ -450,12 +441,7 @@ def find_eigenvalues(
     ]
 
 
-def scan_spectrum(
-    table: CoefficientTable,
-    beta: float,
-    n_max: int = 6,
-    tol: float = 1e-9,
-) -> SpectrumReport:
+def scan_spectrum(table: CoefficientTable, beta: float, n_max: int = 6) -> SpectrumReport:
     """List the eigenvalues in the listing boxes and the singular points.
 
     The zeros of c12 in quadrant 0 and of c11 in quadrant 3 are listed when
@@ -466,7 +452,7 @@ def scan_spectrum(
     """
     eigenvalues = []
     for k in (0, 3):
-        for hit in find_eigenvalues(table, beta, Sector(k), tol=tol):
+        for hit in find_eigenvalues(table, beta, Sector(k)):
             mirror = EigenvalueHit(-hit.lam, (k + 2) % 4, hit.multiplicity, hit.coefficient_value)
             eigenvalues += [hit, mirror]
     eigenvalues.sort(key=lambda h: (h.lam.real, h.lam.imag))
@@ -493,25 +479,20 @@ def _global_f2(table, beta, lam, x) -> complex:
     return _continued(table, beta, lam, x).value
 
 
-def resolvent_kernel(
-    table: CoefficientTable,
-    beta: float,
-    lam: complex,
-    x: float,
-    t: float,
-    near_tol: float = 1e-8,
-) -> complex:
+def resolvent_kernel(table: CoefficientTable, beta: float, lam: complex, x: float,
+                     t: float) -> complex:
     """Green kernel of the operator at a regular point of a quadrant.
 
     The kernel pairs the solution decaying at +infinity with the one
     decaying at -infinity for the quadrant of lam, divided by their
     (constant) Wronskian; the normalisation gives the derivative jump -1
-    across x = t.  Symmetric in (x, t) by construction.
+    across x = t.  Symmetric in (x, t) by construction.  Raises
+    NearSpectrum where |coefficient| < `NEAR_TOL`.
     """
     lam = complex(lam)
     k = Sector.of_lambda(lam).k
     coef = complex(sector_coefficient_fn(table, beta, k)(lam))
-    if abs(coef) < near_tol:
+    if abs(coef) < NEAR_TOL:
         raise NearSpectrum(f"lambda {lam} is numerically at the spectrum of sector {k}")
     # u = f1+ at lu decays at +infinity and v = f2+ at lv at -infinity;
     # W(v, u) is 2i lu times the sector's coefficient

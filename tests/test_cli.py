@@ -170,7 +170,7 @@ class TestSchemas:
 
 class TestWriter:
     def test_bytes_match_the_python_encoder(self, tmp_path):
-        data, report = cli._forward_products(cli.RunConfig(command="forward"), EIG_POTENTIAL)
+        data, report = cli._forward_products(EIG_POTENTIAL, 30, 6)
         result = ReconstructionResult(
             beta=np.float64(1.25),
             q=[np.complex128(0.5 - 2j), complex(-0.0, 1e-300)],
@@ -582,3 +582,56 @@ class TestSpectrumCommand:
         report = json.load(open(tmp_path / "spectrum-report.json"))
         assert report["continuous_spectrum"] == "axes Re lambda = 0 and Im lambda = 0"
         assert len(report["singularities"]) == 8
+
+
+class TestArgumentChecks:
+    """Usage errors exit 1, and each command checks only the options it reads."""
+
+    @pytest.mark.parametrize("argv", [
+        ["forward", "{pot}", "--tol", "1e-9"],
+        ["forward", "{pot}", "-A", "abc"],
+        ["eval", "{pot}", "--lambda", "1", "--x-range", "0:1:3"],
+        ["no-such-command"],
+        [],
+    ], ids=["unknown-flag", "non-integer-order", "missing-solution", "unknown-command", "no-command"])
+    def test_usage_error_exits_one(self, tmp_path, capsys, argv):
+        pot = tmp_path / "p.json"
+        write_potential(pot, 1.0, [])
+        assert main([a.format(pot=pot) for a in argv]) == 1
+        assert capsys.readouterr().err.startswith("schema error: spectral-sl")
+        assert list(tmp_path.iterdir()) == [pot]
+
+    def test_eval_ignores_nmax(self, tmp_path):
+        # -A 5 is below the default --nmax 6, which eval never reads
+        pot = tmp_path / "p.json"
+        write_potential(pot, 1.0, [1.0])
+        csv = tmp_path / "c.csv"
+        assert main([
+            "eval", str(pot), "-A", "5", "--lambda", "1+1i", "--x-range", "0:1:4",
+            "--solution", "f1+", "--out", str(csv),
+        ]) == 0
+        lines = csv.read_text().splitlines()
+        assert lines[0] == "x,re,im,d_re,d_im,ode_residual_abs"
+        assert len(lines) == 5
+
+    def test_inverse_of_a_file_reads_its_n_max(self, tmp_path):
+        pot = tmp_path / "p.json"
+        write_potential(pot, 1.0, [1.0])
+        assert main(["forward", str(pot), "--out", str(tmp_path), "--nmax", "3"]) == 0
+        rec = tmp_path / "reconstruction.json"
+        assert main(["inverse", str(tmp_path / "spectral-data.json"), "--nmax", "40", "--out", str(rec)]) == 0
+        assert len(json.loads(rec.read_text())["q"]) == 3
+
+    @pytest.mark.parametrize("argv, message", [
+        (["eval", "{pot}", "-A", "0", "--lambda", "1", "--x-range", "0:1:3", "--solution", "f1+"],
+         "require order >= 1"),
+        (["forward", "{pot}", "--nmax", "0"], "require order >= n_max >= 1"),
+        (["forward", "{pot}", "-A", "3", "--nmax", "5"], "require order >= n_max >= 1"),
+        (["inverse", "--self-test", "{pot}", "-A", "3"], "require order >= n_max >= 1"),
+    ], ids=["eval-order-0", "forward-nmax-0", "forward-order-below-nmax", "self-test-order-below-nmax"])
+    def test_bad_orders_exit_one(self, tmp_path, capsys, argv, message):
+        pot = tmp_path / "p.json"
+        write_potential(pot, 1.0, [1.0])
+        assert main([a.format(pot=pot) for a in argv] + ["--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"schema error: {message}\n"
+        assert list(tmp_path.iterdir()) == [pot]

@@ -235,11 +235,6 @@ class TestReconstructAnalytic:
         diag_conj, _flags = recover_diagonal(Conjugated(), 1)
         assert abs(diag[0] - diag_conj[0]) > 0.1
 
-    def test_nmax_order_validation(self):
-        prov = AnalyticProvider(FourierPotential(beta=1.0, q=()), 10)
-        with pytest.raises(ValueError):
-            reconstruct(prov, n_max=5, order=3)
-
 
 class TestSampledProvider:
     def test_empty_samples(self):
