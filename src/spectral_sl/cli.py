@@ -345,8 +345,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.set_defaults(run=run)
         p.add_argument("input", nargs=input_nargs, help=input_help)
         p.add_argument("-A", "--order", type=int, default=30, help="series truncation order")
-        p.add_argument("--nmax", type=int, default=6,
-                       help="number of recovered harmonics / singular points")
+        if name != "eval":  # eval samples one solution and has no harmonics to count
+            p.add_argument("--nmax", type=int, default=6,
+                           help="number of recovered harmonics / singular points")
         p.add_argument("--out", default=".", help="output directory or file")
         return p
 

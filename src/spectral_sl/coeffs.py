@@ -49,10 +49,6 @@ class FourierPotential:
             raise ValueError("harmonics must be finite")
         object.__setattr__(self, "q", coeffs)
 
-    @property
-    def n_harmonics(self) -> int:
-        return len(self.q)
-
     def harmonic(self, n: int) -> complex:
         """q_n, with harmonics beyond the stored band exactly zero."""
         if n < 1:

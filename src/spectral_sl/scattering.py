@@ -9,7 +9,7 @@ other.  The four coefficients stored here are normalised so that at q = 0
 
 the large-|lambda| limits of the general case.  With this normalisation the
 matching combinations carry an extra overall minus sign (see
-`solutions.extend_across_zero`), the identities
+`whole_line`), the identities
 
     c22(lam) = (i/beta) c11(-lam),      c21(lam) = -(i/beta) c12(lam)
 
@@ -26,7 +26,7 @@ import numpy as np
 
 from .coeffs import CoefficientTable
 from .errors import ExtrapolationDivergence, ZeroWavenumber
-from .solutions import POLE_TOL, SolutionSample, _exponent, _series
+from .solutions import POLE_TOL, SolutionSample, _exponent, _sample, _series
 
 
 @dataclass(frozen=True)
@@ -136,6 +136,29 @@ def matching_coefficients_f2(table: CoefficientTable, beta: float,
     """
     c11, c12 = _coefficients(table, beta, complex(lam), ("c11", "c12"), POLE_TOL)
     return -complex(c11[0]), -complex(c12[0])
+
+
+def whole_line(table: CoefficientTable, beta: float, family: str, lam: complex,
+               x: float) -> SolutionSample:
+    """The plus solution of ``family`` ('f1' or 'f2') at lam and any real x.
+
+    On the family's own half line (x >= 0 for f1, x < 0 for f2) it is the
+    series; on the other it is the matching combination of the other
+    family's pair, which meets the series in value and slope at x = 0.
+    Only that side's two matching coefficients are formed, so it is finite
+    wherever they and the pair are: at lam = n/2 for f1 on x < 0, and at
+    lam = i n/(2 beta) for f2 on x >= 0.
+    """
+    if family not in ("f1", "f2"):
+        raise ValueError(f"unknown solution family {family!r}")
+    if (x >= 0) == (family == "f1"):
+        return _sample(table, beta, family + "+", lam, x)
+    if family == "f1":
+        (a, b), other = matching_coefficients_f1(table, beta, lam), "f2"
+    else:
+        (a, b), other = matching_coefficients_f2(table, beta, lam), "f1"
+    sp, sm = (_sample(table, beta, other + sign, lam, x) for sign in "+-")
+    return SolutionSample(a * sp.value + b * sm.value, a * sp.derivative + b * sm.derivative)
 
 
 def richardson_limit(values: Sequence[complex], step_ratio: float) -> complex:

@@ -115,7 +115,9 @@ def _series(table: CoefficientTable, k, x, scale: float = 1.0,
 
 
 def _sample(table: CoefficientTable, beta: float, which: str, lam, x) -> SolutionSample:
-    """One branch at one (x, lam)."""
+    """One branch at one (x, lam); arrays of x go to `eval_with_residual`."""
+    if np.ndim(x):
+        raise ValueError("x must be a scalar; eval_with_residual takes an array")
     k, scale = _exponent(which, complex(lam), beta)
     f, df = _series(table, k, x, scale)
     return SolutionSample(complex(f[0]), complex(df[0]))
@@ -143,17 +145,15 @@ def eval_f2(table: CoefficientTable, beta: float, lam: complex, x,
     return _sample(table, beta, "f2" + branch, lam, x)
 
 
-def eval_fn_limit(table: CoefficientTable, n: int, x, sign: str = "+") -> complex:
+def eval_fn_limit(table: CoefficientTable, n: int, x) -> complex:
     """Scaled limit of f1 at the half-integer points.
 
     Returns lim (n +/- 2 lam) f1(x, lam; +/-) as lam -> -/+ n/2, which is
     the single row series sum_{a>=n} V[n, a] e^{iax} e^{-i(n/2)x}.  Both
-    branch limits produce the same function (the minus branch is the plus
+    branch limits are this one function: the minus branch is the plus
     branch reflected in lam, and the reflection maps one limit point onto
-    the other), so ``sign`` only mirrors the caller's bookkeeping.
+    the other.
     """
-    if sign not in ("+", "-"):
-        raise ValueError(f"branch must be '+' or '-', got {sign!r}")
     if not 1 <= n <= table.order:
         raise ValueError(f"require 1 <= n <= {table.order}")
     row = table.entries[n - 1] @ np.exp(1j * np.arange(1, table.order + 1) * x)
@@ -184,38 +184,7 @@ def ode_residual(potential: FourierPotential, table: CoefficientTable, lam: comp
     series.  ``which`` is one of 'f1+', 'f1-', 'f2+', 'f2-'; rho(x) is 1 for
     x >= 0 and -beta^2 otherwise (evaluate away from the jump at 0).
     """
+    if np.ndim(x):
+        raise ValueError("x must be a scalar; eval_with_residual takes an array")
     return complex(eval_with_residual(potential, table, lam, x, which)[2][0])
 
-
-def _continued(table: CoefficientTable, beta: float, lam: complex, x: float) -> SolutionSample:
-    """f2+ continued to x >= 0, or f1+ continued to x < 0: the matching
-    combination of the native pair of the other family.
-
-    Only the matching coefficients on the side of x are formed, so the
-    result is finite wherever they and that pair are: at lam = n/2 for
-    x < 0 and at lam = i n/(2 beta) for x >= 0 as well.
-    """
-    from .scattering import matching_coefficients_f1, matching_coefficients_f2
-
-    if x >= 0:
-        (a, b), family = matching_coefficients_f2(table, beta, lam), "f1"
-    else:
-        (a, b), family = matching_coefficients_f1(table, beta, lam), "f2"
-    sp = _sample(table, beta, family + "+", lam, x)
-    sm = _sample(table, beta, family + "-", lam, x)
-    return SolutionSample(a * sp.value + b * sm.value, a * sp.derivative + b * sm.derivative)
-
-
-def extend_across_zero(table: CoefficientTable, potential: FourierPotential, lam: complex,
-                       x: float) -> SolutionSample:
-    """Continue a solution across the density jump at x = 0.
-
-    For x >= 0 returns the continuation of the plus exponential-family
-    solution (natively defined on x < 0); for x < 0 the continuation of the
-    plus oscillatory-family solution.  The continuation is the combination
-    of the other family fixed by matching value and derivative at 0, so at
-    x = 0 it reproduces the native evaluation exactly.  It is finite at the
-    distinguished points where it exists: lam = n/2 for x < 0 and
-    lam = i n/(2 beta) for x >= 0.
-    """
-    return _continued(table, potential.beta, lam, x)

@@ -33,8 +33,8 @@ from .errors import (
     NearSpectrum,
     SpectralError,
 )
-from .scattering import _WRONSKIAN_PAIRS, coefficient_evaluators
-from .solutions import _continued, _exponent, _series, eval_f1, eval_f2
+from .scattering import _WRONSKIAN_PAIRS, coefficient_evaluators, whole_line
+from .solutions import _exponent, _series
 
 CONTINUOUS_SPECTRUM_AXES = "axes Re lambda = 0 and Im lambda = 0"
 
@@ -465,20 +465,6 @@ def scan_spectrum(table: CoefficientTable, beta: float, n_max: int = 6) -> Spect
 # --- resolvent kernels -----------------------------------------------------
 
 
-def _global_f1(table, beta, lam, x) -> complex:
-    """Plus oscillatory solution continued to the whole line (value only)."""
-    if x >= 0:
-        return eval_f1(table, lam, x, "+").value
-    return _continued(table, beta, lam, x).value
-
-
-def _global_f2(table, beta, lam, x) -> complex:
-    """Plus exponential solution continued to the whole line (value only)."""
-    if x < 0:
-        return eval_f2(table, beta, lam, x, "+").value
-    return _continued(table, beta, lam, x).value
-
-
 def resolvent_kernel(table: CoefficientTable, beta: float, lam: complex, x: float,
                      t: float) -> complex:
     """Green kernel of the operator at a regular point of a quadrant.
@@ -499,7 +485,8 @@ def resolvent_kernel(table: CoefficientTable, beta: float, lam: complex, x: floa
     lu = lam if k in (0, 1) else -lam
     lv = lam if k in (0, 3) else -lam
     hi, lo = (x, t) if x >= t else (t, x)
-    return _global_f1(table, beta, lu, hi) * _global_f2(table, beta, lv, lo) / (2j * lu * coef)
+    u, v = whole_line(table, beta, "f1", lu, hi), whole_line(table, beta, "f2", lv, lo)
+    return u.value * v.value / (2j * lu * coef)
 
 
 def resolvent_residue(
@@ -529,8 +516,6 @@ def resolvent_residue(
         raise ValueError("axis must be 'real' or 'imaginary'")
     if not 1 <= n <= table.order:
         raise ValueError(f"require 1 <= n <= {table.order}")
-    if axis == "real":
-        u, lam0 = _global_f1, n / 2.0
-    else:
-        u, lam0 = _global_f2, 1j * n / (2.0 * beta)
-    return (2.0 / (1j * n)) * table.entry(n, n) * u(table, beta, lam0, x) * u(table, beta, lam0, t)
+    family, lam0 = ("f1", n / 2.0) if axis == "real" else ("f2", 1j * n / (2.0 * beta))
+    u = [whole_line(table, beta, family, lam0, s).value for s in (x, t)]
+    return (2.0 / (1j * n)) * table.entry(n, n) * u[0] * u[1]

@@ -156,7 +156,7 @@ def test_criterion_5_residue_law(q1_table_30):
     # scaled half-integer limits against the opposite-branch solutions
     for n in (1, 2, 3):
         for x in (0.0, 0.7, 2.1):
-            lhs = eval_fn_limit(q1_table_30, n, x, "+")
+            lhs = eval_fn_limit(q1_table_30, n, x)
             rhs = q1_table_30.entry(n, n) * eval_f1(q1_table_30, -n / 2.0, x, "-").value
             if abs(lhs - rhs) > 1e-9:
                 problems.append(f"scaled limit identity off for n={n}, x={x}")

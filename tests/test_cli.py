@@ -591,9 +591,11 @@ class TestArgumentChecks:
         ["forward", "{pot}", "--tol", "1e-9"],
         ["forward", "{pot}", "-A", "abc"],
         ["eval", "{pot}", "--lambda", "1", "--x-range", "0:1:3"],
+        ["eval", "{pot}", "--nmax", "6", "--lambda", "1+1i", "--x-range", "0:1:3", "--solution", "f1+"],
         ["no-such-command"],
         [],
-    ], ids=["unknown-flag", "non-integer-order", "missing-solution", "unknown-command", "no-command"])
+    ], ids=["unknown-flag", "non-integer-order", "missing-solution", "eval-nmax", "unknown-command",
+            "no-command"])
     def test_usage_error_exits_one(self, tmp_path, capsys, argv):
         pot = tmp_path / "p.json"
         write_potential(pot, 1.0, [])
@@ -602,7 +604,7 @@ class TestArgumentChecks:
         assert list(tmp_path.iterdir()) == [pot]
 
     def test_eval_ignores_nmax(self, tmp_path):
-        # -A 5 is below the default --nmax 6, which eval never reads
+        # eval has no --nmax, so -A 5 below the other commands' default of 6 is fine
         pot = tmp_path / "p.json"
         write_potential(pot, 1.0, [1.0])
         csv = tmp_path / "c.csv"

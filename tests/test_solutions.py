@@ -11,8 +11,8 @@ from spectral_sl import (
     eval_f1,
     eval_f2,
     eval_fn_limit,
-    extend_across_zero,
     ode_residual,
+    whole_line,
     wronskian,
 )
 from spectral_sl.scattering import matching_coefficients_f1, matching_coefficients_f2
@@ -101,6 +101,18 @@ class TestSeriesValues:
             eval_f2(q1_table_30, 2.0, -1j / 4.0 + 1e-9, 0.2, "+")
 
 
+class TestScalarArguments:
+    def test_array_x_is_refused(self, q1_table_30):
+        # one sample per call: an array x used to return the sample at x[0]
+        x = np.array([0.0, 1.0, 2.0])
+        with pytest.raises(ValueError, match="scalar"):
+            eval_f1(q1_table_30, 1 + 1j, x)
+        with pytest.raises(ValueError, match="scalar"):
+            eval_f2(q1_table_30, 1.0, 1 + 1j, -x)
+        with pytest.raises(ValueError, match="scalar"):
+            ode_residual(Q1, q1_table_30, 1 + 1j, x, "f1+")
+
+
 class TestWronskians:
     def test_constancy_for_random_potentials(self):
         rng = np.random.default_rng(12)
@@ -120,19 +132,19 @@ class TestWronskians:
 class TestHalfIntegerLimits:
     def test_zero_table(self, zero_table):
         for n in (1, 2, 3):
-            assert eval_fn_limit(zero_table, n, 0.7, "+") == 0.0
+            assert eval_fn_limit(zero_table, n, 0.7) == 0.0
 
     def test_single_harmonic_row_sum(self):
         t = build_table(Q1, 3)
-        assert abs(eval_fn_limit(t, 2, 0.0, "+") - (-1.0 / 3.0)) < 1e-15
+        assert abs(eval_fn_limit(t, 2, 0.0) - (-1.0 / 3.0)) < 1e-15
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("sign", ["+", "-"])
     def test_linear_dependence_identity(self, q1_table_30, n, sign):
-        # the scaled limit row equals V[n,n] times the opposite-branch
-        # solution at the reflected half integer
+        # the one scaled limit row equals V[n,n] times either branch's
+        # opposite-branch solution at the reflected half integer
         for x in (0.0, 0.7, 2.1):
-            lhs = eval_fn_limit(q1_table_30, n, x, sign)
+            lhs = eval_fn_limit(q1_table_30, n, x)
             if sign == "+":
                 rhs = q1_table_30.entry(n, n) * eval_f1(q1_table_30, -n / 2.0, x, "-").value
             else:
@@ -170,7 +182,7 @@ class TestOdeResidual:
 class TestExtension:
     def test_free_case_matches_native(self, zero_table):
         p0 = FourierPotential(beta=1.0, q=())
-        s = extend_across_zero(zero_table, p0, 1.0, 0.0)
+        s = whole_line(zero_table, p0.beta, "f2", 1.0, 0.0)
         assert abs(s.value - 1.0) < 1e-14
         assert abs(s.derivative - 1.0) < 1e-14
 
@@ -180,7 +192,7 @@ class TestExtension:
             p = random_potential(rng)
             t = build_table(p, 30)
             lam = offlattice_lambda(rng, p.beta)
-            ext = extend_across_zero(t, p, lam, 0.0)
+            ext = whole_line(t, p.beta, "f2", lam, 0.0)
             nat = eval_f2(t, p.beta, lam, 0.0, "+")
             assert abs(ext.value - nat.value) < 1e-10 * max(1.0, abs(nat.value))
             assert abs(ext.derivative - nat.derivative) < 1e-10 * max(1.0, abs(nat.derivative))
@@ -192,7 +204,7 @@ class TestExtension:
             nat1 = eval_f1(t, lam, 0.0, "+")
             assert abs(a * f2p.value + b * f2m.value - nat1.value) < 1e-10
             assert abs(a * f2p.derivative + b * f2m.derivative - nat1.derivative) < 1e-10
-            ext1 = extend_across_zero(t, p, lam, -1e-12)
+            ext1 = whole_line(t, p.beta, "f1", lam, -1e-12)
             assert abs(ext1.value - nat1.value) < 1e-10
 
     def test_extension_wronskian_constant_on_right_half_line(self):
@@ -202,7 +214,7 @@ class TestExtension:
         lam = offlattice_lambda(rng, p.beta)
         vals = []
         for x in np.linspace(0.0, 2 * np.pi, 9):
-            ext = extend_across_zero(t, p, lam, x)
+            ext = whole_line(t, p.beta, "f2", lam, x)
             nat = eval_f1(t, lam, x, "+")
             vals.append(wronskian(ext, nat))
         vals = np.array(vals)
@@ -214,25 +226,25 @@ class TestExtension:
         # n/2 is a pole of f1- and c11, i n/(2 beta) one of f2- and c22, but
         # neither is a pole of the continuation on the side that avoids them
         if axis == "real":
-            lam, x, side = n / 2.0, -1.0, -1e-12
+            family, lam, x, side = "f1", n / 2.0, -1.0, -1e-12
             a, b = matching_coefficients_f1(q1_table_30, Q1.beta, lam)
             plus, minus = (eval_f2(q1_table_30, Q1.beta, lam, x, s) for s in "+-")
             native = eval_f1(q1_table_30, lam, 0.0, "+")
         else:
-            lam, x, side = 1j * n / (2.0 * Q1.beta), 1.0, 0.0
+            family, lam, x, side = "f2", 1j * n / (2.0 * Q1.beta), 1.0, 0.0
             a, b = matching_coefficients_f2(q1_table_30, Q1.beta, lam)
             plus, minus = (eval_f1(q1_table_30, lam, x, s) for s in "+-")
             native = eval_f2(q1_table_30, Q1.beta, lam, 0.0, "+")
-        ext = extend_across_zero(q1_table_30, Q1, lam, x)
+        ext = whole_line(q1_table_30, Q1.beta, family, lam, x)
         assert np.isfinite(ext.value) and np.isfinite(ext.derivative)
         value = a * plus.value + b * minus.value
         derivative = a * plus.derivative + b * minus.derivative
         assert abs(ext.value - value) < 1e-12 * max(1.0, abs(value))
         assert abs(ext.derivative - derivative) < 1e-12 * max(1.0, abs(derivative))
         # and it meets the native solution at the jump
-        at_jump = extend_across_zero(q1_table_30, Q1, lam, side)
+        at_jump = whole_line(q1_table_30, Q1.beta, family, lam, side)
         assert abs(at_jump.value - native.value) < 1e-10 * max(1.0, abs(native.value))
 
     def test_zero_wavenumber_rejected(self, q1_table_30):
         with pytest.raises(ZeroWavenumber):
-            extend_across_zero(q1_table_30, Q1, 1e-9, 0.5)
+            whole_line(q1_table_30, Q1.beta, "f2", 1e-9, 0.5)

@@ -21,11 +21,10 @@ from spectral_sl import (
     resolvent_residue,
     scan_spectrum,
     spectral_singularities,
+    whole_line,
 )
 import spectral_sl.spectrum as spectrum_module
 from spectral_sl.spectrum import (
-    _global_f1,
-    _global_f2,
     _winding,
     default_sector_box,
     rational_form,
@@ -432,7 +431,8 @@ class TestAxes:
         p = random_potential(rng)
         t = build_table(p, 30)
         for lam in (0.8, 1.7, 3.3):
-            vals = [abs(_global_f1(t, p.beta, lam, x)) for x in np.linspace(0.0, 40.0, 161)]
+            xs = np.linspace(0.0, 40.0, 161)
+            vals = [abs(whole_line(t, p.beta, "f1", lam, x).value) for x in xs]
             assert min(vals) > 0.05
 
 
@@ -526,21 +526,21 @@ class TestKernelDifferences:
         cc = connection_coefficients(table, beta, lam)
         ccm = connection_coefficients(table, beta, -lam)
 
+        f1p = lambda s: whole_line(table, beta, "f1", lam, s).value
+        f1m = lambda s: whole_line(table, beta, "f1", -lam, s).value
+        f2p = lambda s: whole_line(table, beta, "f2", lam, s).value
+        f2m = lambda s: whole_line(table, beta, "f2", -lam, s).value
+
         def kernel(pair):
             hi, lo = (x, t) if x >= t else (t, x)
             if pair == "11":
-                return _global_f1(table, beta, lam, hi) * _global_f2(table, beta, lam, lo) / (2j * lam * c12f(lam))
+                return f1p(hi) * f2p(lo) / (2j * lam * c12f(lam))
             if pair == "12":
-                return _global_f1(table, beta, lam, hi) * _global_f2(table, beta, -lam, lo) / (2j * lam * c11f(-lam))
+                return f1p(hi) * f2m(lo) / (2j * lam * c11f(-lam))
             if pair == "21":
-                return _global_f1(table, beta, -lam, hi) * _global_f2(table, beta, -lam, lo) / (-2j * lam * c12f(-lam))
+                return f1m(hi) * f2m(lo) / (-2j * lam * c12f(-lam))
             if pair == "22":
-                return _global_f1(table, beta, -lam, hi) * _global_f2(table, beta, lam, lo) / (-2j * lam * c11f(lam))
-
-        f1p = lambda s: _global_f1(table, beta, lam, s)
-        f1m = lambda s: _global_f1(table, beta, -lam, s)
-        f2p = lambda s: _global_f2(table, beta, lam, s)
-        f2m = lambda s: _global_f2(table, beta, -lam, s)
+                return f1m(hi) * f2p(lo) / (-2j * lam * c11f(lam))
 
         lhs = kernel("11") - kernel("12")
         rhs = -f1p(x) * f1p(t) / (2j * lam * cc.c12 * cc.c22)
