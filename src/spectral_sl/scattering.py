@@ -14,7 +14,10 @@ matching combinations carry an extra overall minus sign (see
     c22(lam) = (i/beta) c11(-lam),      c21(lam) = -(i/beta) c12(lam)
 
 hold, and the zeros of the four coefficients in the open quadrants are the
-eigenvalues.
+eigenvalues.  Each coefficient is the Wronskian of two branches at x = 0;
+at a fixed table order that is exactly d + sum_j r_j/(lam - p_j), with one
+simple pole per live row on each branch's lattice (`rational_form`), and
+every coefficient value here is that sum.
 """
 
 from __future__ import annotations
@@ -25,8 +28,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .coeffs import CoefficientTable
-from .errors import ExtrapolationDivergence, ZeroWavenumber
-from .solutions import POLE_TOL, SolutionSample, _exponent, _sample, _series
+from .errors import ExtrapolationDivergence, PoleProximity, ZeroWavenumber
+from .solutions import POLE_TOL, SolutionSample, _exponent, _sample
 
 
 @dataclass(frozen=True)
@@ -58,42 +61,57 @@ _WRONSKIAN_PAIRS = {
 }
 
 
-def _coefficients(table: CoefficientTable, beta: float, lam, names, pole_tol=None) -> list:
-    """The named coefficients at lam (scalar or array), as arrays.
+def rational_form(table: CoefficientTable, beta: float, name: str) -> tuple:
+    """(d, p, r) with the coefficient ``name`` equal to d + sum_j r_j/(lam - p_j).
 
-    Each is its branches' Wronskian over 2i lam (c11, c12) or 2 lam beta
-    (c21, c22).  Only the branches the names use are evaluated, each once,
-    so a coefficient is finite wherever its own two branches are.  With
-    pole_tol=None neither the branches nor lam = 0 are guarded.
+    The coefficient is W(F, G)/(nu lam) for its branches F, G at x = 0, with
+    exponents a lam and b lam, and nu = 2i (c11, c12) or 2 beta (c21, c22).
+    Each branch there is g = 1 + sum_n s_n/(n - 2ia lam), with slope
+    a lam g + sum_n s'_n/(n - 2ia lam) for the row sums (s_n, s'_n) of
+    `table.zero_sums`, so d = (a - b)/nu, lam = 0 is removable, and each live
+    row puts a simple pole p on each branch's lattice.  At a pole of F the
+    residue is ((n s_n/(2i) + s'_n) G(p) - s_n G'(p)) / (-nu n); at a pole of
+    G, the negative of the same with F and G swapped.  docs/spectrum.md
+    derives it.
     """
-    lam = np.atleast_1d(np.asarray(lam, dtype=complex))  # the many-exponent route at x = 0
-    if pole_tol is not None and np.any(np.abs(lam) < pole_tol):
-        raise ZeroWavenumber("coefficients are undefined at lambda = 0")
-    branches = {}
-    for which in sorted({b for name in names for b in _WRONSKIAN_PAIRS[name]}):
-        k, scale = _exponent(which, lam, beta)
-        f, df = _series(table, k, 0.0, scale, pole_tol)
-        branches[which] = SolutionSample(f, df)
-    out = []
-    for name in names:
-        first, second = _WRONSKIAN_PAIRS[name]
-        norm = 2j * lam if name in ("c11", "c12") else 2.0 * lam * beta
-        out.append(wronskian(branches[first], branches[second]) / norm)
-    return out
+    first, second = _WRONSKIAN_PAIRS[name]
+    a, b = (_exponent(which, 1.0, beta)[0] for which in (first, second))
+    nu = 2j if name in ("c11", "c12") else 2.0 * beta
+    rows = table.live_rows
+    n = rows + 1.0
+    s, ds = (sums[rows] for sums in table.zero_sums)
+    own = np.array([[a], [b]])  # row 0: the poles of F, row 1: those of G
+    p = n / (2j * own)
+    # the other branch's value g and slope k g + h at each pole, e^{kx} = 1
+    k = (own[::-1] * p).ravel()
+    w = 1.0 / (n[:, None] - 2j * k)
+    g = 1.0 + s @ w
+    g, dg = (v.reshape(p.shape) for v in (g, k * g + ds @ w))
+    r = np.array([[1.0], [-1.0]]) * ((n * s / 2j + ds) * g - s * dg) / (-nu * n)
+    return (a - b) / nu, p.ravel(), r.ravel()
 
 
-def coefficient_evaluators(
-    table: CoefficientTable, beta: float
-) -> tuple[Callable, Callable]:
+def _value(form: tuple, lam) -> np.ndarray:
+    """d + sum_j r_j/(lam - p_j) at lam (scalar or 1-d), as a 1-d array.
+    Each point is summed on its own: its bits do not depend on the batch."""
+    d, p, r = form
+    lam = np.atleast_1d(np.asarray(lam, dtype=complex))
+    return d + (r / (lam[:, None] - p)).sum(axis=1)
+
+
+def coefficient_evaluators(table: CoefficientTable, beta: float) -> tuple[Callable, Callable]:
     """(c11, c12) as vectorised functions of the spectral parameter.
 
-    No pole guarding: near the real half-integers c11 is large but finite,
-    which is exactly what the pole-strength extraction samples.
+    Each is its `rational_form`, built once here.  No pole guarding: near
+    the real half-integers c11 is large but finite, which is exactly what
+    the pole-strength extraction samples.
     """
 
     def evaluator(name):
+        form = rational_form(table, beta, name)
+
         def c(lam):
-            (out,) = _coefficients(table, beta, lam, (name,))
+            out = _value(form, lam)
             return out if np.ndim(lam) else complex(out[0])
 
         return c
@@ -101,18 +119,30 @@ def coefficient_evaluators(
     return evaluator("c11"), evaluator("c12")
 
 
+def _guarded(table: CoefficientTable, beta: float, lam: complex, names) -> list:
+    """The named coefficients at one lam, refused at lam = 0 and within
+    `POLE_TOL` of any of their poles."""
+    if abs(lam) < POLE_TOL:
+        raise ZeroWavenumber("coefficients are undefined at lambda = 0")
+    out = []
+    for name in names:
+        form = rational_form(table, beta, name)
+        dist = np.min(np.abs(lam - form[1]), initial=np.inf)
+        if dist < POLE_TOL:
+            raise PoleProximity(f"lambda is {dist:.3g} from a pole of {name}, within {POLE_TOL}")
+        out.append(complex(_value(form, lam)[0]))
+    return out
+
+
 def connection_coefficients(table: CoefficientTable, beta: float,
                             lam: complex) -> ConnectionCoefficients:
-    """All four coefficients at lam, each from its own Wronskian at x = 0.
+    """All four coefficients at lam, each from its own rational form.
 
     The cross identities relating them are not used in the construction, so
     they stay available as independent consistency checks.
     """
     lam = complex(lam)
-    c11, c12, c21, c22 = (
-        complex(c[0])
-        for c in _coefficients(table, beta, lam, ("c11", "c12", "c21", "c22"), POLE_TOL)
-    )
+    c11, c12, c21, c22 = _guarded(table, beta, lam, ("c11", "c12", "c21", "c22"))
     return ConnectionCoefficients(lam=lam, c11=c11, c12=c12, c21=c21, c22=c22)
 
 
@@ -123,8 +153,8 @@ def matching_coefficients_f1(table: CoefficientTable, beta: float,
     Built only from the exponential-family Wronskians, so it stays finite at
     the real half-integer points where c11 itself blows up.
     """
-    c22, c21 = _coefficients(table, beta, complex(lam), ("c22", "c21"), POLE_TOL)
-    return -complex(c22[0]), -complex(c21[0])
+    c22, c21 = _guarded(table, beta, complex(lam), ("c22", "c21"))
+    return -c22, -c21
 
 
 def matching_coefficients_f2(table: CoefficientTable, beta: float,
@@ -134,8 +164,8 @@ def matching_coefficients_f2(table: CoefficientTable, beta: float,
     Built only from the oscillatory-family Wronskians; finite at the
     imaginary lattice points where c22 blows up.
     """
-    c11, c12 = _coefficients(table, beta, complex(lam), ("c11", "c12"), POLE_TOL)
-    return -complex(c11[0]), -complex(c12[0])
+    c11, c12 = _guarded(table, beta, complex(lam), ("c11", "c12"))
+    return -c11, -c12
 
 
 def whole_line(table: CoefficientTable, beta: float, family: str, lam: complex,

@@ -19,8 +19,10 @@ pole is present only where row n of the table is nonzero.  The minus
 branch of either family is the plus branch at -lam: both have the same k,
 so the identity is exact.
 
-`_series` is the only place the weights 1/(n - 2ik) and the prefactor
-e^{kx} are formed; everything else, here and in `scattering`, calls it.
+`_series` is the only place a branch is evaluated at a point x;
+everything else here, and `whole_line` in `scattering`, calls it.  The
+connection coefficients need the branches only at x = 0, at the other
+branch's poles, and `scattering.rational_form` forms those weights itself.
 Derivatives are always term-wise (analytic), never finite differences:
 the Wronskian identities downstream are exact only with exact derivatives.
 """
@@ -52,7 +54,7 @@ def _exponent(which: str, lam, beta: float):
     """(k, scale) of branch 'f1+', 'f1-', 'f2+' or 'f2-' at lam.
 
     ``scale`` converts a distance in k into one in lam: 1 for f1, beta for
-    f2.  lam may be an array.
+    f2.
     """
     if which not in ("f1+", "f1-", "f2+", "f2-"):
         raise ValueError(f"unknown solution tag {which!r}")
@@ -60,46 +62,32 @@ def _exponent(which: str, lam, beta: float):
     return (k if which[2] == "+" else -k), scale
 
 
-def _series(table: CoefficientTable, k, x, scale: float = 1.0,
-            pole_tol: float | None = POLE_TOL, second: bool = False) -> tuple:
+def _series(table: CoefficientTable, k: complex, x, scale: float,
+            second: bool = False) -> tuple:
     """f(x; k), its x-derivative and, with ``second``, its second
-    x-derivative.
+    x-derivative, over a scalar or 1-d array x; the results are shaped like x.
 
-    The contraction order follows the shape of k.  An array of exponents is
-    taken at the stored x = 0 only (value and slope), through the row sums
-    s_n(0); the results are shaped like k.  A single (0-d) exponent is taken
-    over a scalar or 1-d array x: the weights are contracted with the table
-    once, u_a = sum_n w_n V[n,a], and sum_a u_a (ia)^d e^{iax} is summed by
-    Horner's rule in z = e^{ix}, elementwise (a point's bits do not depend
-    on the rest of x) and in O(len(x)) memory; the results are shaped like x.
+    The weights are contracted with the table once, u_a = sum_n w_n V[n,a],
+    and sum_a u_a (ia)^d e^{iax} is summed by Horner's rule in z = e^{ix},
+    elementwise (a point's bits do not depend on the rest of x) and in
+    O(len(x)) memory.
 
-    Raises PoleProximity when some k is closer than ``pole_tol`` to a pole
+    Raises PoleProximity when k is closer than `POLE_TOL` to a pole
     k = -in/2 of a live row, the distance measured in the lam plane (the
-    k-distance divided by ``scale``); with pole_tol=None nothing is guarded.
+    k-distance divided by ``scale``).
     """
-    many = np.ndim(k) > 0
-    k = np.atleast_1d(np.asarray(k, dtype=complex))
     rows = table.live_rows
-    denom = (rows + 1.0)[:, None] - 2j * k
-    if pole_tol is not None:
-        # n - 2ik = -2i (k + in/2), so the weights' own denominators give the
-        # pole distance
-        dist = np.min(np.abs(denom), axis=0, initial=np.inf) / (2.0 * scale)
-        if np.any(dist < pole_tol):
-            raise PoleProximity(
-                f"lambda is {dist.min():.3g} from a pole of the series (tolerance {pole_tol})"
-            )
-    w = np.divide(1.0, denom, out=denom)
-    if many:
-        if second or x != 0:
-            raise ValueError("an array of exponents is evaluated only at x = 0, value and slope")
-        g, dg = (sums[rows] @ w for sums in table.zero_sums)
-        g = 1.0 + g
-        return g, k * g + dg  # e^{kx} = 1 at x = 0
-    k = k[0]
+    denom = (rows + 1.0) - 2j * k
+    # n - 2ik = -2i (k + in/2), so the weights' own denominators give the
+    # pole distance
+    dist = np.min(np.abs(denom), initial=np.inf) / (2.0 * scale)
+    if dist < POLE_TOL:
+        raise PoleProximity(
+            f"lambda is {dist:.3g} from a pole of the series (tolerance {POLE_TOL})"
+        )
+    u = (1.0 / denom) @ table.entries[rows]
     x = np.atleast_1d(x)
     ia = 1j * np.arange(1, table.order + 1)
-    u = w[:, 0] @ table.entries[rows]
     coef = np.stack([u, ia * u, ia * ia * u][: 3 if second else 2], axis=1)
     z = np.exp(1j * x)
     acc = np.zeros((coef.shape[1],) + x.shape, dtype=complex)

@@ -8,15 +8,15 @@ eigenvalues come in pairs lam, -lam: quadrant 2's function at -lam is
 quadrant 0's at lam, and quadrant 1's at -lam is quadrant 3's at lam.
 
 At a fixed table order c11 and c12 are exactly rational in lam,
-d + sum_j r_j/(lam - p_j) with 2m simple poles on the two pole lattices
-(`rational_form`), so each has exactly 2m zeros.  All of them are the
-eigenvalues of one deflated secular matrix (`secular_zeros`); the full scan
-lists those that lie in quadrants 0 and 3 inside the listing box, polished
-by Newton on the rational form (`rational_zeros`), and adds the mirror of
-every hit.  The two axes carry the continuous spectrum, with distinguished
-points at n/2 and i n/(2 beta).  `find_zeros`, the winding-number box
-search, stays as an independent reference.  docs/spectrum.md has the
-derivation and the measured traps.
+d + sum_j r_j/(lam - p_j) with 2m simple poles (`scattering.rational_form`;
+`rational_form` here is quadrant k's), so each has exactly 2m zeros: the
+eigenvalues of one deflated secular matrix (`secular_zeros`).  The full scan
+lists those in quadrants 0 and 3 inside the listing box, polished by Newton
+on the form (`rational_zeros`), with the mirror of every hit; each hit's
+coefficient_value is the same form's value.  The two axes carry the
+continuous spectrum, with distinguished points at n/2 and i n/(2 beta).
+`find_zeros`, the winding-number box search, stays as an independent
+reference.  docs/spectrum.md has the derivation and the measured traps.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ from .errors import (
     NearSpectrum,
     SpectralError,
 )
-from .scattering import _WRONSKIAN_PAIRS, coefficient_evaluators, whole_line
-from .solutions import _exponent, _series
+from . import scattering
+from .scattering import whole_line
 
 CONTINUOUS_SPECTRUM_AXES = "axes Re lambda = 0 and Im lambda = 0"
 
@@ -295,18 +295,7 @@ def _merge(raw, tol: float) -> list:
     return merged
 
 
-def sector_coefficient_fn(table: CoefficientTable, beta: float, k: int) -> Callable:
-    """The analytic function whose zeros in quadrant k are the eigenvalues."""
-    c11, c12 = coefficient_evaluators(table, beta)
-    return {
-        0: lambda lam: c12(lam),
-        1: lambda lam: c11(-np.asarray(lam, dtype=complex)),
-        2: lambda lam: c12(-np.asarray(lam, dtype=complex)),
-        3: lambda lam: c11(lam),
-    }[k]
-
-
-# --- the rational form of c11 and c12 --------------------------------------
+# --- the zeros of the rational form ---------------------------------------
 
 #: A pole whose |r_j / d| is below DEFLATION times its distance to the
 #: nearest other pole is deflated (Cuppen 1981): its zero is taken to first
@@ -319,36 +308,12 @@ POLISH_PAD = 0.05
 
 
 def rational_form(table: CoefficientTable, beta: float, k: int) -> tuple:
-    """(d, p, r) with sector k's coefficient equal to d + sum_j r_j/(lam - p_j).
-
-    At a fixed order every branch at x = 0, with exponent a lam, is
-    g = 1 + sum_n s_n/(n - 2ia lam) with slope a lam g + sum_n s'_n/(n - 2ia
-    lam), where (s_n, s'_n) are the row sums `table.zero_sums`.  In the
-    Wronskian W(F, G)/(2i lam) of c11 or c12 the a lam g terms leave the
-    constant d = (a - b)/(2i) times g_F g_G, and lam = 0 is removable, so
-    the coefficient is exactly rational: -(1 + i beta)/2 for c12 and
-    -(1 - i beta)/2 for c11 at infinity, and one simple pole per live row on
-    each branch's lattice.  The residue at a pole p of F is F's singular
-    parts s_n/(-2ia) (value) and (a p s_n + s'_n)/(-2ia) (slope) crossed with
-    G's value and slope there, over 2i p; as a p = n/(2i), that is
-    ((n s_n/(2i) + s'_n) G(p) - s_n G'(p)) / (-2i n), and the negative of the
-    same with F and G swapped at a pole of G.  Sectors 1 and 2 take the
-    function at -lam: poles and residues change sign.  docs/spectrum.md
-    derives it.
-    """
-    first, second = _WRONSKIAN_PAIRS["c12" if k in (0, 2) else "c11"]
-    a, b = (_exponent(which, 1.0, beta)[0] for which in (first, second))
-    rows = table.live_rows
-    n = rows + 1.0
-    s, ds = (sums[rows] for sums in table.zero_sums)
-    own = np.array([[a], [b]])  # row 0: the poles of F, row 1: those of G
-    p = n / (2j * own)
-    # the other branch's value and slope at each pole, in one call
-    other = _series(table, (own[::-1] * p).ravel(), 0.0, pole_tol=None)
-    g, dg = (v.reshape(p.shape) for v in other)
+    """(d, p, r) of the function whose zeros in quadrant k are the eigenvalues:
+    `scattering.rational_form` of c12 (k = 0, 2) or c11 (k = 1, 3), taken at
+    -lam in sectors 1 and 2, where poles and residues change sign."""
+    d, p, r = scattering.rational_form(table, beta, "c12" if k in (0, 2) else "c11")
     flip = -1.0 if k in (1, 2) else 1.0
-    r = flip * np.array([[1.0], [-1.0]]) * ((n * s / 2j + ds) * g - s * dg) / (-2j * n)
-    return (a - b) / 2j, flip * p.ravel(), r.ravel()
+    return d, flip * p, flip * r
 
 
 def _rational(d: complex, p: np.ndarray, r: np.ndarray, lam: np.ndarray) -> tuple:
@@ -430,14 +395,14 @@ def find_eigenvalues(table: CoefficientTable, beta: float, sector: Sector) -> li
 
     The box only selects which zeros of the sector's rational form are
     listed; `NEWTON_TOL` bounds the last Newton step and sets the merge
-    radius.  Each hit's coefficient_value comes from one series evaluation
-    at the zero.
+    radius.  Each hit's coefficient_value is the rational form at the zero.
     """
-    zeros = rational_zeros(*rational_form(table, beta, sector.k), box=default_sector_box(sector.k))
-    fn = sector_coefficient_fn(table, beta, sector.k)
+    form = rational_form(table, beta, sector.k)
+    zeros = rational_zeros(*form, box=default_sector_box(sector.k))
+    values = scattering._value(form, [z for z, _m in zeros])
     return [
-        EigenvalueHit(lam=z, sector=sector.k, multiplicity=m, coefficient_value=complex(fn(z)))
-        for z, m in zeros
+        EigenvalueHit(lam=z, sector=sector.k, multiplicity=m, coefficient_value=complex(c))
+        for (z, m), c in zip(zeros, values)
     ]
 
 
@@ -477,7 +442,7 @@ def resolvent_kernel(table: CoefficientTable, beta: float, lam: complex, x: floa
     """
     lam = complex(lam)
     k = Sector.of_lambda(lam).k
-    coef = complex(sector_coefficient_fn(table, beta, k)(lam))
+    coef = complex(scattering._value(rational_form(table, beta, k), lam)[0])
     if abs(coef) < NEAR_TOL:
         raise NearSpectrum(f"lambda {lam} is numerically at the spectrum of sector {k}")
     # u = f1+ at lu decays at +infinity and v = f2+ at lv at -infinity;

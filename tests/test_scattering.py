@@ -16,10 +16,12 @@ from spectral_sl import (
     pole_strength,
     wronskian,
 )
-from spectral_sl.scattering import _coefficients, pole_circle, pole_strengths
+from spectral_sl.inverse import sample_points
+from spectral_sl.scattering import _value, pole_circle, pole_strengths, rational_form
 from spectral_sl.solutions import POLE_TOL
+from spectral_sl.spectrum import scan_spectrum
 
-from .conftest import offlattice_lambda, random_potential
+from .conftest import EIG_POTENTIAL, offlattice_lambda, random_potential
 from .oracles import QC, exact_forward_table
 
 # the two potentials of the mpmath oracle; power-of-two denominators make
@@ -119,29 +121,47 @@ class TestConnectionCoefficients:
 
 
 class TestCoefficientRoutes:
-    NAMES = ("c11", "c12", "c21", "c22")
-
     def test_unguarded_route_equals_guarded(self):
-        # pole_tol=None skips only the guard: the values keep their bits
+        # the guard of connection_coefficients only refuses: its values have
+        # the bits of the unguarded evaluators and forms
         rng = np.random.default_rng(31)
         for _ in range(4):
             p = random_potential(rng)
             t = build_table(p, 30)
             lam = np.array([offlattice_lambda(rng, p.beta) for _ in range(64)])
-            free = _coefficients(t, p.beta, lam, self.NAMES)
-            guarded = _coefficients(t, p.beta, lam, self.NAMES, POLE_TOL)
-            for a, b in zip(free, guarded):
-                assert a.tobytes() == b.tobytes()
+            c11_fn, c12_fn = coefficient_evaluators(t, p.beta)
+            free = {"c11": c11_fn(lam), "c12": c12_fn(lam)}
+            free.update((name, _value(rational_form(t, p.beta, name), lam)) for name in ("c21", "c22"))
+            for i, z in enumerate(lam):
+                cc = connection_coefficients(t, p.beta, z)
+                for name, values in free.items():
+                    assert values[i].tobytes() == np.complex128(getattr(cc, name)).tobytes()
 
     @pytest.mark.parametrize("n", [1, 2, 5])
     def test_guarded_route_refuses_a_pole(self, q1_table_30, n):
         # c11 holds f1-, whose pole sits at +n/2
         step = np.exp(0.3j)
-        near = np.array([0.7 + 0.4j, n / 2 + 0.9 * POLE_TOL * step])
         with pytest.raises(PoleProximity):
-            _coefficients(q1_table_30, 1.0, near, ("c11",), POLE_TOL)
-        clear = np.array([0.7 + 0.4j, n / 2 + 1.1 * POLE_TOL * step])
-        assert np.all(np.isfinite(_coefficients(q1_table_30, 1.0, clear, ("c11",), POLE_TOL)[0]))
+            connection_coefficients(q1_table_30, 1.0, n / 2 + 0.9 * POLE_TOL * step)
+        cc = connection_coefficients(q1_table_30, 1.0, n / 2 + 1.1 * POLE_TOL * step)
+        assert np.isfinite(cc.c11)
+
+    @pytest.mark.parametrize(
+        "potential",
+        [EIG_POTENTIAL, FourierPotential(beta=0.8, q=(2.0 + 4.0j, 1.0j, -1.0)),
+         FourierPotential(beta=1.0, q=(1.0,))],
+        ids=["eig", "h3", "q1"],
+    )
+    def test_a_sample_does_not_depend_on_its_batch(self, potential):
+        # the export plan evaluated in one call has the bits of each point
+        # evaluated alone
+        table = build_table(potential, 30)
+        report = scan_spectrum(table, potential.beta)
+        points = sample_points([(h.lam, h.sector, h.multiplicity) for h in report.eigenvalues], 6)
+        for fn in coefficient_evaluators(table, potential.beta):
+            batch = fn(points)
+            alone = np.array([fn(z) for z in points])
+            assert batch.tobytes() == alone.tobytes()
 
 
 def _one_circle_reference(c11_fn, c12_fn, n, rel_tol=1e-6):

@@ -22,7 +22,9 @@ from spectral_sl import (
     scan_spectrum,
     spectral_singularities,
     whole_line,
+    wronskian,
 )
+import spectral_sl.scattering as scattering_module
 import spectral_sl.spectrum as spectrum_module
 from spectral_sl.spectrum import (
     _winding,
@@ -30,7 +32,6 @@ from spectral_sl.spectrum import (
     rational_form,
     rational_zeros,
     secular_zeros,
-    sector_coefficient_fn,
 )
 
 from .conftest import EIG_LAMBDA_S0, EIG_POTENTIAL, centred_limit, random_potential
@@ -291,6 +292,32 @@ def forty_six_potentials() -> list:
     )
 
 
+#: The two branches whose Wronskian at x = 0 makes each coefficient.
+PAIRS = {"c11": ("f1-", "f2+"), "c12": ("f2+", "f1+"), "c21": ("f1+", "f2+"), "c22": ("f2-", "f1+")}
+
+
+def series_coefficient(table, beta, name, lam):
+    """The coefficient ``name`` at lam from eval_f1/eval_f2 samples at x = 0:
+    their Wronskian over 2i lam (c11, c12) or 2 lam beta (c21, c22)."""
+
+    def sample(which):
+        if which[:2] == "f1":
+            return eval_f1(table, lam, 0.0, which[2])
+        return eval_f2(table, beta, lam, 0.0, which[2])
+
+    first, second = PAIRS[name]
+    norm = 2j * lam if name in ("c11", "c12") else 2.0 * lam * beta
+    return wronskian(sample(first), sample(second)) / norm
+
+
+def sector_function(table, beta, k):
+    """Quadrant k's coefficient from the evaluators: c12(lam), c11(-lam),
+    c12(-lam), c11(lam) for k = 0 ... 3."""
+    c11, c12 = coefficient_evaluators(table, beta)
+    fn, sign = (c12 if k in (0, 2) else c11), (-1.0 if k in (1, 2) else 1.0)
+    return lambda lam: fn(sign * np.asarray(lam, dtype=complex))
+
+
 class TestRationalForm:
     @pytest.mark.parametrize(
         "potential",
@@ -301,13 +328,20 @@ class TestRationalForm:
     def test_matches_the_series(self, potential):
         rng = np.random.default_rng(7)
         lam = rng.uniform(-5, 5, 20) + 1j * rng.uniform(-5, 5, 20)
-        table = build_table(potential, 30)
+        table, beta = build_table(potential, 30), potential.beta
         for k in range(4):
-            d, p, r = rational_form(table, potential.beta, k)
+            d, p, r = rational_form(table, beta, k)
             assert len(p) == 2 * len(table.live_rows)
-            want = sector_coefficient_fn(table, potential.beta, k)(lam)
+            name, sign = ("c12" if k in (0, 2) else "c11"), (-1.0 if k in (1, 2) else 1.0)
+            want = np.array([series_coefficient(table, beta, name, sign * z) for z in lam])
             got = d + (r / (lam[:, None] - p)).sum(axis=1)
             np.testing.assert_array_less(np.abs(got - want), 1e-12 * np.abs(want))
+        # c21 and c22 come from the same construction with nu = 2 beta
+        for z in lam:
+            cc = connection_coefficients(table, beta, z)
+            for name in ("c21", "c22"):
+                want = series_coefficient(table, beta, name, z)
+                assert abs(getattr(cc, name) - want) < 1e-12 * abs(want)
 
     def test_listing_matches_the_box_search(self):
         # the winding search is the reference
@@ -315,7 +349,7 @@ class TestRationalForm:
             table = build_table(potential, 30)
             for k in (0, 3):
                 want = find_zeros(
-                    sector_coefficient_fn(table, potential.beta, k), default_sector_box(k), tol=1e-9)
+                    sector_function(table, potential.beta, k), default_sector_box(k), tol=1e-9)
                 got = find_eigenvalues(table, potential.beta, Sector(k))
                 assert len(got) == len(want), potential
                 for hit, (z, m) in zip(got, want):
@@ -361,28 +395,25 @@ class TestEigenvalues:
         assert abs(cc.c11 * cc.c22 - 1.0) < 1e-8
 
     def test_search_evaluation_budget(self, monkeypatch):
-        # every coefficient evaluation goes through the coefficient_evaluators
-        # closures; the rational solve reads the series at its poles directly,
-        # so the scan evaluates c11/c12 once per reported sector-0/3 hit, for
-        # its coefficient_value (the winding search took 1,604 here)
-        evaluators = spectrum_module.coefficient_evaluators
-        points = [0]
+        # the scan builds one rational form per listed quadrant, c12 for
+        # quadrant 0 and c11 for quadrant 3, and reads every coefficient_value
+        # from it: no evaluator is made (the winding search took 1,604
+        # evaluations here)
+        forms, evaluators = [], []
+        build = scattering_module.rational_form
 
-        def counting(table, beta):
-            def counted(c):
-                def wrapped(lam):
-                    points[0] += np.size(lam)
-                    return c(lam)
+        def counting_form(table, beta, name):
+            forms.append(name)
+            return build(table, beta, name)
 
-                return wrapped
-
-            return tuple(counted(c) for c in evaluators(table, beta))
-
-        monkeypatch.setattr(spectrum_module, "coefficient_evaluators", counting)
+        monkeypatch.setattr(scattering_module, "rational_form", counting_form)
+        monkeypatch.setattr(scattering_module, "coefficient_evaluators",
+                            lambda *args: evaluators.append(args))
         report = scan_spectrum(build_table(EIG_POTENTIAL, 30), EIG_POTENTIAL.beta)
+        assert forms == ["c12", "c11"]
+        assert evaluators == []
         hits = [h for h in report.eigenvalues if h.sector in (0, 3)]
         assert len(hits) == 3
-        assert points[0] <= len(hits)
         assert min(abs(h.lam - EIG_LAMBDA_S0) for h in report.eigenvalues) < 1e-12
 
     def test_winding_count_matches_report(self):
@@ -418,7 +449,7 @@ class TestEigenvalues:
                     assert m.multiplicity == h.multiplicity
                     assert m.coefficient_value == h.coefficient_value
                     # the mirror quadrant's own function at -lam gives that value
-                    fn = sector_coefficient_fn(table, potential.beta, mirror)
+                    fn = sector_function(table, potential.beta, mirror)
                     assert complex(fn(m.lam)) == m.coefficient_value
             assert len(report.singularities) == 24  # n_max=6, both lattices
 
