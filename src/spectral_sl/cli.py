@@ -45,9 +45,9 @@ import sys
 import numpy as np
 
 from .coeffs import FourierPotential, build_table
-from .errors import SchemaError, SpectralError
+from .errors import InsufficientSamples, SchemaError, SpectralError
 from .inverse import SampledProvider, reconstruct, sample_points, sampled_provider
-from .scattering import coefficient_evaluators
+from .scattering import POLE_CIRCLE_POINTS, coefficient_evaluators
 from .solutions import eval_with_residual
 from .spectrum import SpectrumReport, scan_spectrum
 
@@ -280,7 +280,11 @@ def cmd_inverse(args) -> int:
     _require(args.input, "inverse needs a data file or --self-test")
     _require(args.nmax >= 1, "require n_max >= 1")
     provider = sampled_provider(args.input)
-    result = reconstruct(provider, provider.meta.get("n_max", args.nmax))  # validated by the loader
+    n_max = provider.meta.get("n_max", args.nmax)  # validated by the loader
+    if POLE_CIRCLE_POINTS * n_max > provider.sample_count:  # before n_max sizes any array
+        raise InsufficientSamples(f"{n_max} pole circles need {POLE_CIRCLE_POINTS * n_max} "
+                                  f"samples, and the file holds {provider.sample_count}")
+    result = reconstruct(provider, n_max)
     _write_json(_out_path(args.out, "reconstruction.json"), reconstruction_to_dict(result))
     return 0
 

@@ -103,6 +103,8 @@ class SampledProvider:
         ]
         #: the advisory "meta" object of the file the samples came from
         self.meta = dict(meta or {})
+        #: the number of samples, repeated points included
+        self.sample_count = len(points)
 
     @classmethod
     def from_dict(cls, data: dict) -> "SampledProvider":

@@ -1,22 +1,21 @@
 """Eigenvalue search, spectral singularities and resolvent kernels.
 
 The spectral plane splits into the four open quadrants S_k = {k pi/2 <
-arg lam < (k+1) pi/2}.  Eigenvalues are the zeros of one connection
-coefficient per quadrant (c12(lam), c11(-lam), c12(-lam), c11(lam) for
-k = 0, 1, 2, 3).  The operator depends on lam only through lam^2, so the
-eigenvalues come in pairs lam, -lam: quadrant 2's function at -lam is
-quadrant 0's at lam, and quadrant 1's at -lam is quadrant 3's at lam.
+arg lam < (k+1) pi/2} (`sector_of`).  Eigenvalues are the zeros of one
+connection coefficient per quadrant (c12(lam), c11(-lam), c12(-lam),
+c11(lam) for k = 0, 1, 2, 3).  The operator depends on lam only through
+lam^2, so they come in pairs lam, -lam, and only quadrants 0 and 3 are
+solved (`LISTED`): quadrant 2's function at -lam is quadrant 0's at lam.
 
 At a fixed table order c11 and c12 are exactly rational in lam,
-d + sum_j r_j/(lam - p_j) with 2m simple poles (`scattering.rational_form`;
-`rational_form` here is quadrant k's), so each has exactly 2m zeros: the
-eigenvalues of one deflated secular matrix (`secular_zeros`).  The full scan
-lists those in quadrants 0 and 3 inside the listing box, polished by Newton
-on the form (`rational_zeros`), with the mirror of every hit; each hit's
-coefficient_value is the same form's value.  The two axes carry the
-continuous spectrum, with distinguished points at n/2 and i n/(2 beta).
-`find_zeros`, the winding-number box search, stays as an independent
-reference.  docs/spectrum.md has the derivation and the measured traps.
+d + sum_j r_j/(lam - p_j) with 2m simple poles (`scattering.rational_form`),
+so each has exactly 2m zeros: the eigenvalues of one deflated secular
+matrix (`secular_zeros`).  The scan lists those inside each listing box,
+polished by Newton on the form (`rational_zeros`), with the mirror of every
+hit; each hit's coefficient_value is the same form's value.  The two axes
+carry the continuous spectrum, with distinguished points at n/2 and
+i n/(2 beta).  `find_zeros`, the winding-number box search, is kept for its
+tests and the benchmark's tracer.  docs/spectrum.md has the derivation.
 """
 
 from __future__ import annotations
@@ -50,34 +49,24 @@ DEFAULT_MARGIN = 0.1
 NEWTON_TOL = 1e-9
 #: `resolvent_kernel` refuses a lambda whose sector coefficient is below this.
 NEAR_TOL = 1e-8
+#: The listing rule, (quadrant, coefficient, listing box) per solved
+#: quadrant: the zeros of c12 in [DEFAULT_MARGIN, DEFAULT_BOX_LIMIT]^2 and
+#: of c11 in its quadrant-3 mirror.  Quadrants 2 and 1 hold their mirrors.
+LISTED = (
+    (0, "c12", (DEFAULT_MARGIN, DEFAULT_BOX_LIMIT, DEFAULT_MARGIN, DEFAULT_BOX_LIMIT)),
+    (3, "c11", (DEFAULT_MARGIN, DEFAULT_BOX_LIMIT, -DEFAULT_BOX_LIMIT, -DEFAULT_MARGIN)),
+)
 
 
-@dataclass(frozen=True)
-class Sector:
-    """One open quadrant of the spectral plane."""
-
-    k: int
-
-    def __post_init__(self):
-        if self.k not in (0, 1, 2, 3):
-            raise ValueError("sector index must be 0, 1, 2 or 3")
-
-    def contains(self, lam: complex) -> bool:
-        lam = complex(lam)
-        if lam == 0:
-            return False
-        ang = np.angle(lam) % (2.0 * np.pi)
-        lo = self.k * np.pi / 2.0
-        hi = (self.k + 1) * np.pi / 2.0
-        return lo < ang < hi
-
-    @staticmethod
-    def of_lambda(lam: complex) -> "Sector":
-        for k in range(4):
-            s = Sector(k)
-            if s.contains(lam):
-                return s
-        raise SpectralError(f"lambda {lam} lies on a sector boundary")
+def sector_of(lam: complex) -> int:
+    """The open quadrant k of lam, k pi/2 < arg lam < (k+1) pi/2.  A lam on
+    either axis, at 0 or with a non-finite part lies in none: SpectralError."""
+    lam = complex(lam)
+    if not (np.isfinite(lam) and lam.real and lam.imag):
+        raise SpectralError(f"lambda {lam} lies in no open quadrant")
+    if lam.imag > 0:
+        return 0 if lam.real > 0 else 1
+    return 3 if lam.real > 0 else 2
 
 
 @dataclass(frozen=True)
@@ -307,15 +296,6 @@ RESIDUAL_TOL = 1e-12
 POLISH_PAD = 0.05
 
 
-def rational_form(table: CoefficientTable, beta: float, k: int) -> tuple:
-    """(d, p, r) of the function whose zeros in quadrant k are the eigenvalues:
-    `scattering.rational_form` of c12 (k = 0, 2) or c11 (k = 1, 3), taken at
-    -lam in sectors 1 and 2, where poles and residues change sign."""
-    d, p, r = scattering.rational_form(table, beta, "c12" if k in (0, 2) else "c11")
-    flip = -1.0 if k in (1, 2) else 1.0
-    return d, flip * p, flip * r
-
-
 def _rational(d: complex, p: np.ndarray, r: np.ndarray, lam: np.ndarray) -> tuple:
     """(c, c', scale) of d + sum_j r_j/(lam - p_j) at each lam, where scale
     is |d| + sum_j |r_j/(lam - p_j)|, the size of the terms that cancel."""
@@ -380,46 +360,25 @@ def rational_zeros(d: complex, p: np.ndarray, r: np.ndarray, box=None) -> list:
     return _merge([(complex(v), 1) for v in z[keep]], NEWTON_TOL)
 
 
-def default_sector_box(k: int):
-    lo, hi = DEFAULT_MARGIN, DEFAULT_BOX_LIMIT
-    return {
-        0: (lo, hi, lo, hi),
-        1: (-hi, -lo, lo, hi),
-        2: (-hi, -lo, -hi, -lo),
-        3: (lo, hi, -hi, -lo),
-    }[k]
-
-
-def find_eigenvalues(table: CoefficientTable, beta: float, sector: Sector) -> list:
-    """Eigenvalues strictly inside the sector's listing box, with multiplicities.
-
-    The box only selects which zeros of the sector's rational form are
-    listed; `NEWTON_TOL` bounds the last Newton step and sets the merge
-    radius.  Each hit's coefficient_value is the rational form at the zero.
-    """
-    form = rational_form(table, beta, sector.k)
-    zeros = rational_zeros(*form, box=default_sector_box(sector.k))
-    values = scattering._value(form, [z for z, _m in zeros])
-    return [
-        EigenvalueHit(lam=z, sector=sector.k, multiplicity=m, coefficient_value=complex(c))
-        for (z, m), c in zip(zeros, values)
-    ]
-
-
 def scan_spectrum(table: CoefficientTable, beta: float, n_max: int = 6) -> SpectrumReport:
     """List the eigenvalues in the listing boxes and the singular points.
 
-    The zeros of c12 in quadrant 0 and of c11 in quadrant 3 are listed when
-    they lie inside the default listing box of their quadrant; each hit lam
-    also yields -lam in quadrant 2 or 1 with the same multiplicity and
-    coefficient value, since that quadrant's function at -lam is the
-    listed one at lam.  The merged list is sorted by (Re, Im).
+    For each (k, name, box) of `LISTED`, the zeros of the coefficient's
+    rational form strictly inside the box are listed in quadrant k, with
+    multiplicities and the form's value there; each hit lam also yields -lam
+    in quadrant k + 2 (mod 4) with the same multiplicity and coefficient
+    value, since that quadrant's function at -lam is the listed one at lam.
+    The box only selects which zeros are listed; `NEWTON_TOL` bounds the
+    last Newton step and sets the merge radius.  The merged list is sorted
+    by (Re, Im).
     """
     eigenvalues = []
-    for k in (0, 3):
-        for hit in find_eigenvalues(table, beta, Sector(k)):
-            mirror = EigenvalueHit(-hit.lam, (k + 2) % 4, hit.multiplicity, hit.coefficient_value)
-            eigenvalues += [hit, mirror]
+    for k, name, box in LISTED:
+        form = scattering.rational_form(table, beta, name)
+        zeros = rational_zeros(*form, box=box)
+        values = scattering._value(form, [z for z, _m in zeros])
+        for (z, m), c in zip(zeros, values.tolist()):
+            eigenvalues += [EigenvalueHit(z, k, m, c), EigenvalueHit(-z, (k + 2) % 4, m, c)]
     eigenvalues.sort(key=lambda h: (h.lam.real, h.lam.imag))
     return SpectrumReport(
         eigenvalues=eigenvalues,
@@ -441,14 +400,15 @@ def resolvent_kernel(table: CoefficientTable, beta: float, lam: complex, x: floa
     NearSpectrum where |coefficient| < `NEAR_TOL`.
     """
     lam = complex(lam)
-    k = Sector.of_lambda(lam).k
-    coef = complex(scattering._value(rational_form(table, beta, k), lam)[0])
-    if abs(coef) < NEAR_TOL:
-        raise NearSpectrum(f"lambda {lam} is numerically at the spectrum of sector {k}")
+    k = sector_of(lam)
     # u = f1+ at lu decays at +infinity and v = f2+ at lv at -infinity;
-    # W(v, u) is 2i lu times the sector's coefficient
+    # W(v, u) is 2i lu times the sector's coefficient, c12 or c11 at lv
     lu = lam if k in (0, 1) else -lam
     lv = lam if k in (0, 3) else -lam
+    form = scattering.rational_form(table, beta, "c12" if k in (0, 2) else "c11")
+    coef = complex(scattering._value(form, lv)[0])
+    if abs(coef) < NEAR_TOL:
+        raise NearSpectrum(f"lambda {lam} is numerically at the spectrum of sector {k}")
     hi, lo = (x, t) if x >= t else (t, x)
     u, v = whole_line(table, beta, "f1", lu, hi), whole_line(table, beta, "f2", lv, lo)
     return u.value * v.value / (2j * lu * coef)

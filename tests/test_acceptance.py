@@ -11,19 +11,18 @@ import numpy as np
 
 from spectral_sl import (
     FourierPotential,
-    Sector,
     build_table,
     coefficient_evaluators,
     connection_coefficients,
     eval_f1,
     eval_f2,
     eval_fn_limit,
-    find_eigenvalues,
     ode_residual,
     reconstruct,
     resolvent_kernel,
     resolvent_residue,
     sampled_provider,
+    scan_spectrum,
     wronskian,
 )
 from spectral_sl.cli import main, spectral_data_to_dict
@@ -61,7 +60,7 @@ def test_criterion_1_free_baseline(zero_table):
                 problems.append(f"c12 off for beta={beta}")
             if abs(cc.c11 + (1 - 1j * beta) / 2) > 1e-12:
                 problems.append(f"c11 off for beta={beta}")
-        hits = find_eigenvalues(zero_table, beta, Sector(0))
+        hits = scan_spectrum(zero_table, beta).eigenvalues
         if hits:
             problems.append(f"spurious eigenvalues for beta={beta}: {hits}")
     if time.monotonic() - t0 > 5.0:

@@ -624,6 +624,24 @@ class TestArgumentChecks:
         assert main(["inverse", str(tmp_path / "spectral-data.json"), "--nmax", "40", "--out", str(rec)]) == 0
         assert len(json.loads(rec.read_text())["q"]) == 3
 
+    @pytest.mark.parametrize("meta_n_max, nmax", [(10**15, 6), (7, 6), (None, 10**15)],
+                             ids=["meta-huge", "meta-seven", "flag-huge"])
+    def test_n_max_beyond_the_samples_exits_two(self, tmp_path, capsys, meta_n_max, nmax):
+        # EIG's 194 samples cannot hold 32 n_max pole-circle points for
+        # n_max = 7: refused before any array of n_max circles is made
+        data, _report = cli._forward_products(EIG_POTENTIAL, 30, 6)
+        if meta_n_max is None:
+            del data["meta"]["n_max"]
+        else:
+            data["meta"]["n_max"] = meta_n_max
+        path, rec = tmp_path / "spectral-data.json", tmp_path / "reconstruction.json"
+        path.write_text(json.dumps(data))
+        assert main(["inverse", str(path), "--nmax", str(nmax), "--out", str(rec)]) == 2
+        n = meta_n_max or nmax
+        assert capsys.readouterr().err == (
+            f"numerical error: {n} pole circles need {32 * n} samples, and the file holds 194\n")
+        assert not rec.exists()
+
     @pytest.mark.parametrize("argv, message", [
         (["eval", "{pot}", "-A", "0", "--lambda", "1", "--x-range", "0:1:3", "--solution", "f1+"],
          "require order >= 1"),

@@ -20,7 +20,8 @@ from spectral_sl import (
     eval_f1,
     eval_f2,
 )
-from spectral_sl.spectrum import rational_form, rational_zeros
+from spectral_sl.scattering import rational_form
+from spectral_sl.spectrum import rational_zeros
 
 from .oracles import QC, exact_forward_table
 
@@ -166,7 +167,7 @@ def test_near_axis_zeros_of_c11_are_zeros_of_the_oracle():
     # cancel in it
     beta, harmonics = 1.0, [QC.of(4, 4)]
     table = build_table(FourierPotential(beta=beta, q=(4 + 4j,)), ORDER)
-    d, p, r = rational_form(table, beta, 3)
+    d, p, r = rational_form(table, beta, "c11")
     zeros = [z for z, _m in rational_zeros(d, p, r) if z.real > 0 and z.imag < 0]
     near_axis = [z for z in zeros if min(z.real, -z.imag) < 0.1]
     assert len(zeros) == 7 and len(near_axis) == 5

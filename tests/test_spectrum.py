@@ -8,14 +8,12 @@ from spectral_sl import (
     ContourThroughZero,
     FourierPotential,
     NearSpectrum,
-    Sector,
     SpectralError,
     build_table,
     coefficient_evaluators,
     connection_coefficients,
     eval_f1,
     eval_f2,
-    find_eigenvalues,
     find_zeros,
     resolvent_kernel,
     resolvent_residue,
@@ -26,31 +24,43 @@ from spectral_sl import (
 )
 import spectral_sl.scattering as scattering_module
 import spectral_sl.spectrum as spectrum_module
+from spectral_sl.scattering import rational_form
 from spectral_sl.spectrum import (
+    LISTED,
     _winding,
-    default_sector_box,
-    rational_form,
     rational_zeros,
     secular_zeros,
+    sector_of,
 )
 
 from .conftest import EIG_LAMBDA_S0, EIG_POTENTIAL, centred_limit, random_potential
+from .oracles import box_winding, circle_contour, winding_number
 
 
 class TestSectors:
     def test_membership(self):
-        assert Sector(0).contains(1 + 1j)
-        assert Sector(1).contains(-1 + 1j)
-        assert Sector(2).contains(-1 - 1j)
-        assert Sector(3).contains(1 - 1j)
-        for k in range(4):
-            assert not Sector(k).contains(1.0)  # axes belong to no sector
-            assert not Sector(k).contains(1j)
+        assert sector_of(1 + 1j) == 0
+        assert sector_of(-1 + 1j) == 1
+        assert sector_of(-1 - 1j) == 2
+        assert sector_of(1 - 1j) == 3
+        # as close to an axis as a double goes, still inside
+        assert sector_of(complex(5e-324, -1.0)) == 3
+        assert sector_of(complex(-1.0, -5e-324)) == 2
 
     def test_of_lambda(self):
-        assert Sector.of_lambda(2 - 3j).k == 3
+        assert sector_of(2 - 3j) == 3
         with pytest.raises(SpectralError):
-            Sector.of_lambda(5.0)
+            sector_of(5.0)
+
+    @pytest.mark.parametrize("lam", [
+        1.0, -2.0, 1j, -3j, complex(-0.0, 1.0), 0.0,
+        complex(np.nan, 1.0), complex(1.0, np.nan), complex(np.inf, 1.0), complex(1.0, -np.inf),
+    ], ids=["real", "negative-real", "imaginary", "negative-imaginary", "negative-zero-real", "zero",
+            "nan-real", "nan-imaginary", "inf-real", "inf-imaginary"])
+    def test_no_quadrant_raises(self, lam):
+        # the axes carry the continuous spectrum and belong to no quadrant
+        with pytest.raises(SpectralError):
+            sector_of(lam)
 
 
 class TestSingularities:
@@ -329,11 +339,10 @@ class TestRationalForm:
         rng = np.random.default_rng(7)
         lam = rng.uniform(-5, 5, 20) + 1j * rng.uniform(-5, 5, 20)
         table, beta = build_table(potential, 30), potential.beta
-        for k in range(4):
-            d, p, r = rational_form(table, beta, k)
+        for name in ("c11", "c12"):
+            d, p, r = rational_form(table, beta, name)
             assert len(p) == 2 * len(table.live_rows)
-            name, sign = ("c12" if k in (0, 2) else "c11"), (-1.0 if k in (1, 2) else 1.0)
-            want = np.array([series_coefficient(table, beta, name, sign * z) for z in lam])
+            want = np.array([series_coefficient(table, beta, name, z) for z in lam])
             got = d + (r / (lam[:, None] - p)).sum(axis=1)
             np.testing.assert_array_less(np.abs(got - want), 1e-12 * np.abs(want))
         # c21 and c22 come from the same construction with nu = 2 beta
@@ -344,25 +353,27 @@ class TestRationalForm:
                 assert abs(getattr(cc, name) - want) < 1e-12 * abs(want)
 
     def test_listing_matches_the_box_search(self):
-        # the winding search is the reference
+        # the argument principle is the reference: the listed coefficient
+        # winds around its listing box once per listed zero, and around a
+        # small circle on each hit once per unit of its multiplicity
         for potential in forty_six_potentials():
             table = build_table(potential, 30)
-            for k in (0, 3):
-                want = find_zeros(
-                    sector_function(table, potential.beta, k), default_sector_box(k), tol=1e-9)
-                got = find_eigenvalues(table, potential.beta, Sector(k))
-                assert len(got) == len(want), potential
-                for hit, (z, m) in zip(got, want):
-                    assert hit.multiplicity == m
-                    assert abs(hit.lam - z) <= 1e-12 * abs(z)
+            coefficients = dict(zip(("c11", "c12"), coefficient_evaluators(table, potential.beta)))
+            report = scan_spectrum(table, potential.beta)
+            for k, name, box in LISTED:
+                fn = coefficients[name]
+                hits = [h for h in report.eigenvalues if h.sector == k]
+                assert box_winding(fn, box) == sum(h.multiplicity for h in hits), potential
+                for hit in hits:
+                    assert winding_number(fn, circle_contour(hit.lam, 1e-4), 64) == hit.multiplicity
 
     def test_all_zeros_are_accounted_for(self):
         # the undeflated eigenvalues and the first-order deflated zeros are
         # 2m in number, and they sum to the trace of diag(p) - (r/d) 1^T
         for potential in forty_six_potentials():
             table = build_table(potential, 30)
-            for k in (0, 3):
-                d, p, r = rational_form(table, potential.beta, k)
+            for name in ("c11", "c12"):
+                d, p, r = rational_form(table, potential.beta, name)
                 eigenvalues, first_order = secular_zeros(d, p, r)
                 assert len(eigenvalues) + len(first_order) == len(p) == 2 * len(table.live_rows)
                 trace = p.sum() - (r / d).sum()
@@ -379,12 +390,11 @@ class TestRationalForm:
 
 class TestEigenvalues:
     def test_free_potential_has_none(self, zero_table):
-        hits = find_eigenvalues(zero_table, 1.0, Sector(0))
-        assert hits == []
+        assert scan_spectrum(zero_table, 1.0).eigenvalues == []
 
     def test_known_point_spectrum(self):
         table = build_table(EIG_POTENTIAL, 30)
-        hits = find_eigenvalues(table, EIG_POTENTIAL.beta, Sector(0))
+        hits = [h for h in scan_spectrum(table, EIG_POTENTIAL.beta).eigenvalues if h.sector == 0]
         assert len(hits) == 1
         hit = hits[0]
         assert abs(hit.lam - EIG_LAMBDA_S0) < 1e-6
@@ -417,12 +427,15 @@ class TestEigenvalues:
         assert min(abs(h.lam - EIG_LAMBDA_S0) for h in report.eigenvalues) < 1e-12
 
     def test_winding_count_matches_report(self):
+        # each quadrant's own function winds around its listing box, or the
+        # mirror of one, once per zero the report lists in that quadrant
         table = build_table(EIG_POTENTIAL, 30)
-        _c11, c12 = coefficient_evaluators(table, EIG_POTENTIAL.beta)
-        box = default_sector_box(0)
-        w, _pts, _vals = _winding(lambda z: c12(z), box, 512)
-        hits = find_eigenvalues(table, EIG_POTENTIAL.beta, Sector(0))
-        assert w == sum(h.multiplicity for h in hits)
+        report = scan_spectrum(table, EIG_POTENTIAL.beta)
+        for k, _name, (re_lo, re_hi, im_lo, im_hi) in LISTED:
+            for quadrant, box in ((k, (re_lo, re_hi, im_lo, im_hi)),
+                                  ((k + 2) % 4, (-re_hi, -re_lo, -im_hi, -im_lo))):
+                w = box_winding(sector_function(table, EIG_POTENTIAL.beta, quadrant), box)
+                assert w == sum(h.multiplicity for h in report.eigenvalues if h.sector == quadrant) > 0
 
     def test_full_scan_sector_symmetry(self):
         # zeros of c12(-lam) in the third quadrant mirror the first-quadrant
