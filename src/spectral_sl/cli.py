@@ -46,10 +46,10 @@ import numpy as np
 
 from .coeffs import FourierPotential, build_table
 from .errors import InsufficientSamples, SchemaError, SpectralError
-from .inverse import SampledProvider, reconstruct, sample_points, sampled_provider
-from .scattering import POLE_CIRCLE_POINTS, coefficient_evaluators
+from .inverse import AnalyticProvider, SampledProvider, reconstruct, sample_points, sampled_provider
+from .scattering import POLE_CIRCLE_POINTS
 from .solutions import eval_with_residual
-from .spectrum import SpectrumReport, scan_spectrum
+from .spectrum import SpectrumReport
 
 #: Largest relative error of beta and q that `inverse --self-test` passes.
 SELF_TEST_TOL = 1e-6
@@ -93,8 +93,8 @@ def _load_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
+    except ValueError as exc:  # JSONDecodeError, or an integer of over 4,300 digits
+        raise SchemaError(f"{path}: cannot be read as JSON ({exc})") from exc
 
 
 def _out_path(out: str, name: str) -> str:
@@ -220,23 +220,14 @@ def reconstruction_to_dict(result) -> dict:
     }
 
 
-def _scan(potential: FourierPotential, order: int, n_max: int):
-    """The potential's table and its spectrum report."""
-    _require(order >= n_max >= 1, "require order >= n_max >= 1")
-    table = build_table(potential, order)
-    return table, scan_spectrum(table, potential.beta, n_max=n_max)
-
-
 def _forward_products(potential: FourierPotential, order: int, n_max: int):
-    table, report = _scan(potential, order, n_max)
-    eigenvalues = [(h.lam, h.sector, h.multiplicity) for h in report.eigenvalues]
-    points = sample_points(eigenvalues, n_max)
-    c11_fn, c12_fn = coefficient_evaluators(table, potential.beta)
-    c11 = c11_fn(points)
-    c12 = c12_fn(points)
-    meta = {"n_max": n_max, "A": order}
-    data = spectral_data_to_dict(eigenvalues, points, c11, c12, meta)
-    return data, spectrum_report_to_dict(report)
+    """The spectral-data and spectrum-report dicts of one forward model."""
+    _require(order >= n_max >= 1, "require order >= n_max >= 1")
+    model = AnalyticProvider(potential, order, n_max)
+    points = sample_points(model.eigenvalues, n_max)
+    data = spectral_data_to_dict(model.eigenvalues, points, model.eval_c11(points),
+                                 model.eval_c12(points), {"n_max": n_max, "A": order})
+    return data, spectrum_report_to_dict(model.report)
 
 
 # --- commands ---------------------------------------------------------------
@@ -254,7 +245,9 @@ def cmd_forward(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    _table, report = _scan(load_potential(args.input), args.order, args.nmax)
+    potential = load_potential(args.input)
+    _require(args.order >= args.nmax >= 1, "require order >= n_max >= 1")
+    report = AnalyticProvider(potential, args.order, args.nmax).report
     os.makedirs(args.out, exist_ok=True)
     _write_json(os.path.join(args.out, "spectrum-report.json"), spectrum_report_to_dict(report))
     return 0

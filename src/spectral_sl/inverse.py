@@ -11,9 +11,9 @@ proceeds in four steps:
   4. beta comes from i c11(lam_n) c11(-lam_n) at an eigenvalue, or, when
      the point spectrum is empty, from the large-lambda limit of c12.
 
-Providers may wrap the analytic forward model or a sampled data file; the
-extraction code only ever calls their evaluators, each time on an array of
-points, and reads an array of values back.
+A provider is the forward model (`AnalyticProvider`, which the forward
+commands write) or a sampled data file; the extraction code only ever calls
+their evaluators, each time on an array of points, and reads an array back.
 """
 
 from __future__ import annotations
@@ -55,28 +55,15 @@ class ReconstructionResult:
 
 
 class AnalyticProvider:
-    """Spectral data computed on demand from a known potential.
+    """The forward model of a potential, built at once: its table, the
+    `scan_spectrum` report with singular points up to n_max, the eigenvalue
+    (lam, sector, multiplicity) triples and the c11, c12 rational forms."""
 
-    The eigenvalue list is searched lazily on first access; the coefficient
-    evaluators accept scalars or arrays.
-    """
-
-    def __init__(self, potential: FourierPotential, order: int = 30):
-        self.potential = potential
-        self.order = order
+    def __init__(self, potential: FourierPotential, order: int = 30, n_max: int = 6):
         self.table = build_table(potential, order)
+        self.report = scan_spectrum(self.table, potential.beta, n_max)
+        self.eigenvalues = [(h.lam, h.sector, h.multiplicity) for h in self.report.eigenvalues]
         self.eval_c11, self.eval_c12 = coefficient_evaluators(self.table, potential.beta)
-        self._eigenvalues = None
-
-    @property
-    def eigenvalues(self) -> list:
-        """(lam, sector, multiplicity) triples, all four quadrants."""
-        if self._eigenvalues is None:
-            report = scan_spectrum(self.table, self.potential.beta)
-            self._eigenvalues = [
-                (hit.lam, hit.sector, hit.multiplicity) for hit in report.eigenvalues
-            ]
-        return self._eigenvalues
 
 
 class SampledProvider:

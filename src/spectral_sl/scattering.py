@@ -16,14 +16,14 @@ matching combinations carry an extra overall minus sign (see
 hold, and the zeros of the four coefficients in the open quadrants are the
 eigenvalues.  Each coefficient is the Wronskian of two branches at x = 0;
 at a fixed table order that is exactly d + sum_j r_j/(lam - p_j), with one
-simple pole per live row on each branch's lattice (`rational_form`), and
-every coefficient value here is that sum.
+simple pole per live row on each branch's lattice, and every coefficient
+value here is that sum, computed by calling its `RationalForm`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -61,8 +61,33 @@ _WRONSKIAN_PAIRS = {
 }
 
 
-def rational_form(table: CoefficientTable, beta: float, name: str) -> tuple:
-    """(d, p, r) with the coefficient ``name`` equal to d + sum_j r_j/(lam - p_j).
+class RationalForm(NamedTuple):
+    """d + sum_j r_j/(lam - p_j), a coefficient as a value (`rational_form`).
+
+    Calling it gives the sum at lam: a complex for a scalar, an array for a
+    1-d array.  Each point is summed on its own, so its bits do not depend
+    on the batch, and `terms` forms the same sum.
+    """
+
+    d: complex
+    p: np.ndarray
+    r: np.ndarray
+
+    def __call__(self, lam):
+        points = np.atleast_1d(np.asarray(lam, dtype=complex))
+        c = self.d + (self.r / (points[:, None] - self.p)).sum(axis=1)
+        return c if np.ndim(lam) else complex(c[0])
+
+    def terms(self, lam) -> tuple:
+        """(c, c', scale) at each point of lam, where scale is
+        |d| + sum_j |r_j/(lam - p_j)|, the size of the terms that cancel."""
+        diff = np.atleast_1d(np.asarray(lam, dtype=complex))[:, None] - self.p
+        t = self.r / diff
+        return self.d + t.sum(axis=1), -(t / diff).sum(axis=1), abs(self.d) + np.abs(t).sum(axis=1)
+
+
+def rational_form(table: CoefficientTable, beta: float, name: str) -> RationalForm:
+    """The `RationalForm` d + sum_j r_j/(lam - p_j) of the coefficient ``name``.
 
     The coefficient is W(F, G)/(nu lam) for its branches F, G at x = 0, with
     exponents a lam and b lam, and nu = 2i (c11, c12) or 2 beta (c21, c22).
@@ -88,35 +113,16 @@ def rational_form(table: CoefficientTable, beta: float, name: str) -> tuple:
     g = 1.0 + s @ w
     g, dg = (v.reshape(p.shape) for v in (g, k * g + ds @ w))
     r = np.array([[1.0], [-1.0]]) * ((n * s / 2j + ds) * g - s * dg) / (-nu * n)
-    return (a - b) / nu, p.ravel(), r.ravel()
+    return RationalForm((a - b) / nu, p.ravel(), r.ravel())
 
 
-def _value(form: tuple, lam) -> np.ndarray:
-    """d + sum_j r_j/(lam - p_j) at lam (scalar or 1-d), as a 1-d array.
-    Each point is summed on its own: its bits do not depend on the batch."""
-    d, p, r = form
-    lam = np.atleast_1d(np.asarray(lam, dtype=complex))
-    return d + (r / (lam[:, None] - p)).sum(axis=1)
+def coefficient_evaluators(table: CoefficientTable, beta: float) -> tuple[RationalForm, RationalForm]:
+    """The `rational_form`s of c11 and c12, which take scalars or arrays.
 
-
-def coefficient_evaluators(table: CoefficientTable, beta: float) -> tuple[Callable, Callable]:
-    """(c11, c12) as vectorised functions of the spectral parameter.
-
-    Each is its `rational_form`, built once here.  No pole guarding: near
-    the real half-integers c11 is large but finite, which is exactly what
-    the pole-strength extraction samples.
+    No pole guarding: near the real half-integers c11 is large but finite,
+    which is exactly what the pole-strength extraction samples.
     """
-
-    def evaluator(name):
-        form = rational_form(table, beta, name)
-
-        def c(lam):
-            out = _value(form, lam)
-            return out if np.ndim(lam) else complex(out[0])
-
-        return c
-
-    return evaluator("c11"), evaluator("c12")
+    return rational_form(table, beta, "c11"), rational_form(table, beta, "c12")
 
 
 def _guarded(table: CoefficientTable, beta: float, lam: complex, names) -> list:
@@ -127,10 +133,10 @@ def _guarded(table: CoefficientTable, beta: float, lam: complex, names) -> list:
     out = []
     for name in names:
         form = rational_form(table, beta, name)
-        dist = np.min(np.abs(lam - form[1]), initial=np.inf)
+        dist = np.min(np.abs(lam - form.p), initial=np.inf)
         if dist < POLE_TOL:
             raise PoleProximity(f"lambda is {dist:.3g} from a pole of {name}, within {POLE_TOL}")
-        out.append(complex(_value(form, lam)[0]))
+        out.append(form(lam))
     return out
 
 

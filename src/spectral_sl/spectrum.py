@@ -296,14 +296,6 @@ RESIDUAL_TOL = 1e-12
 POLISH_PAD = 0.05
 
 
-def _rational(d: complex, p: np.ndarray, r: np.ndarray, lam: np.ndarray) -> tuple:
-    """(c, c', scale) of d + sum_j r_j/(lam - p_j) at each lam, where scale
-    is |d| + sum_j |r_j/(lam - p_j)|, the size of the terms that cancel."""
-    inv = 1.0 / (lam[:, None] - p)
-    t = r * inv
-    return d + t.sum(axis=1), -(t * inv).sum(axis=1), abs(d) + np.abs(t).sum(axis=1)
-
-
 def _in_box(z: np.ndarray, box, pad: float = 0.0) -> np.ndarray:
     """Which z lie strictly inside the box widened by pad on every side."""
     re_lo, re_hi, im_lo, im_hi = box
@@ -341,6 +333,7 @@ def rational_zeros(d: complex, p: np.ndarray, r: np.ndarray, box=None) -> list:
     lies strictly inside the box; zeros within max(100 NEWTON_TOL, 1e-7) of
     each other are merged and their multiplicities summed.
     """
+    form = scattering.RationalForm(d, p, r)
     z = np.concatenate(secular_zeros(d, p, r))
     if box is not None:
         z = z[_in_box(z, box, POLISH_PAD)]
@@ -348,12 +341,12 @@ def rational_zeros(d: complex, p: np.ndarray, r: np.ndarray, box=None) -> list:
         return []
     with np.errstate(all="ignore"):  # a wild iterate overflows: the filter drops it
         for _ in range(60):
-            c, dc, _scale = _rational(d, p, r, z)
+            c, dc, _scale = form.terms(z)
             step = np.where(c == 0, 0.0, c / dc)
             z = z - step
             if not np.any(np.abs(step) > NEWTON_TOL * (1.0 + np.abs(z))):
                 break
-        c, _dc, scale = _rational(d, p, r, z)
+        c, _dc, scale = form.terms(z)
         keep = np.isfinite(z) & (np.abs(c) <= RESIDUAL_TOL * scale)
     if box is not None:
         keep &= _in_box(z, box)
@@ -376,8 +369,7 @@ def scan_spectrum(table: CoefficientTable, beta: float, n_max: int = 6) -> Spect
     for k, name, box in LISTED:
         form = scattering.rational_form(table, beta, name)
         zeros = rational_zeros(*form, box=box)
-        values = scattering._value(form, [z for z, _m in zeros])
-        for (z, m), c in zip(zeros, values.tolist()):
+        for (z, m), c in zip(zeros, form([z for z, _m in zeros]).tolist()):
             eigenvalues += [EigenvalueHit(z, k, m, c), EigenvalueHit(-z, (k + 2) % 4, m, c)]
     eigenvalues.sort(key=lambda h: (h.lam.real, h.lam.imag))
     return SpectrumReport(
@@ -402,11 +394,11 @@ def resolvent_kernel(table: CoefficientTable, beta: float, lam: complex, x: floa
     lam = complex(lam)
     k = sector_of(lam)
     # u = f1+ at lu decays at +infinity and v = f2+ at lv at -infinity;
-    # W(v, u) is 2i lu times the sector's coefficient, c12 or c11 at lv
+    # W(v, u) is 2i lu times the coefficient LISTED for lv's quadrant, 0 or 3
     lu = lam if k in (0, 1) else -lam
     lv = lam if k in (0, 3) else -lam
-    form = scattering.rational_form(table, beta, "c12" if k in (0, 2) else "c11")
-    coef = complex(scattering._value(form, lv)[0])
+    name = {quadrant: name for quadrant, name, _box in LISTED}[sector_of(lv)]
+    coef = scattering.rational_form(table, beta, name)(lv)
     if abs(coef) < NEAR_TOL:
         raise NearSpectrum(f"lambda {lam} is numerically at the spectrum of sector {k}")
     hi, lo = (x, t) if x >= t else (t, x)

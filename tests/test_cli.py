@@ -18,6 +18,7 @@ from spectral_sl import (
     sampled_provider,
 )
 from spectral_sl import cli
+from spectral_sl import inverse as inverse_module
 from spectral_sl.cli import (
     load_potential,
     load_spectral_data,
@@ -30,6 +31,19 @@ from spectral_sl.solutions import ode_residual
 from spectral_sl.spectrum import SpectrumReport, EigenvalueHit, Singularity
 
 from .conftest import EIG_POTENTIAL
+
+
+#: 5,001 digits: Python's json reads no integer of over 4,300 digits and
+#: writes none, so `_dumps` writes this string as the bare integer.
+LONG_INT = "9" * 5001
+LONG_INT_ERROR = ("cannot be read as JSON (Exceeds the limit (4300 digits) for integer string "
+                  "conversion: value has 5001 digits; use sys.set_int_max_str_digits() to "
+                  "increase the limit)")
+
+
+def _dumps(obj) -> str:
+    """json.dumps, with each string LONG_INT written as a bare integer."""
+    return json.dumps(obj).replace(f'"{LONG_INT}"', LONG_INT)
 
 
 def write_potential(path, beta, q):
@@ -68,12 +82,14 @@ class TestSchemas:
             (1.0, [1.0, 0.0, 2.0], "q[1] must be a [re, im] pair of numbers"),
             # json keeps an integer exact, so this one is beyond the float range
             (1.0, [10**400, 0.0], "q[1] must be a [re, im] pair of numbers"),
+            (1.0, [LONG_INT, 0.0], "{path}: " + LONG_INT_ERROR),
         ],
-        ids=["bool-beta", "string-beta", "bool-q", "string-q", "three-q", "huge-q"],
+        ids=["bool-beta", "string-beta", "bool-q", "string-q", "three-q", "huge-q", "long-q"],
     )
     def test_potential_schema_messages(self, tmp_path, capsys, beta, q1, message):
         path = tmp_path / "p.json"
-        path.write_text(json.dumps({"beta": beta, "q": [[0.5, -1], q1]}))
+        path.write_text(_dumps({"beta": beta, "q": [[0.5, -1], q1]}))
+        message = message.format(path=path)
         with pytest.raises(SchemaError) as exc:
             load_potential(path)
         assert str(exc.value) == message
@@ -141,16 +157,18 @@ class TestSchemas:
         assert main(["inverse", str(path)]) == 1
         assert capsys.readouterr().err == f"schema error: {message}\n"
 
-    @pytest.mark.parametrize("n_max", ["x", 2.5, 0, True], ids=["string", "float", "zero", "bool"])
+    @pytest.mark.parametrize("n_max", ["x", 2.5, 0, True, LONG_INT],
+                             ids=["string", "float", "zero", "bool", "long"])
     def test_meta_n_max_schema_errors(self, tmp_path, capsys, n_max):
         sample = {"re": 0.5, "im": 0.01, "c11": [1, -2.0], "c12": [0.0, 3]}
         path = tmp_path / "data.json"
-        path.write_text(json.dumps({"eigenvalues": [], "samples": [sample], "meta": {"n_max": n_max}}))
+        path.write_text(_dumps({"eigenvalues": [], "samples": [sample], "meta": {"n_max": n_max}}))
+        message = f"{path}: {LONG_INT_ERROR}" if n_max == LONG_INT else "meta.n_max must be an integer >= 1"
         with pytest.raises(SchemaError) as exc:
             load_spectral_data(path)
-        assert str(exc.value) == "meta.n_max must be an integer >= 1"
+        assert str(exc.value) == message
         assert main(["inverse", str(path)]) == 1
-        assert capsys.readouterr().err == "schema error: meta.n_max must be an integer >= 1\n"
+        assert capsys.readouterr().err == f"schema error: {message}\n"
 
     def test_spectrum_report_to_dict(self):
         report = SpectrumReport(
@@ -195,6 +213,33 @@ class TestWriter:
 
 
 class TestForwardCommand:
+    def test_one_forward_model_per_op(self, monkeypatch):
+        # one _forward_products call builds the table once, scans once and
+        # calls each coefficient once, on the whole export plan
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append((name, args))
+                return fn(*args, **kwargs)
+            return wrapper
+
+        def evaluators(table, beta):
+            return tuple(counted(name, form) for name, form in
+                         zip(("c11", "c12"), coefficient_evaluators(table, beta)))
+
+        for name, fn in (("build_table", inverse_module.build_table),
+                         ("scan_spectrum", inverse_module.scan_spectrum),
+                         ("coefficient_evaluators", evaluators)):
+            monkeypatch.setattr(inverse_module, name, counted(name, fn))
+        data, _report = cli._forward_products(EIG_POTENTIAL, 30, 6)
+        names = [name for name, _args in calls]
+        assert sorted(names) == ["build_table", "c11", "c12", "coefficient_evaluators", "scan_spectrum"]
+        plan = np.array([complex(s["re"], s["im"]) for s in data["samples"]])
+        for name, args in calls:
+            if name in ("c11", "c12"):
+                assert args[0].tobytes() == plan.tobytes()
+
     def test_free_potential_products(self, tmp_path):
         pot = tmp_path / "p.json"
         write_potential(pot, 1.0, [])

@@ -17,7 +17,7 @@ from spectral_sl import (
     wronskian,
 )
 from spectral_sl.inverse import sample_points
-from spectral_sl.scattering import _value, pole_circle, pole_strengths, rational_form
+from spectral_sl.scattering import pole_circle, pole_strengths, rational_form
 from spectral_sl.solutions import POLE_TOL
 from spectral_sl.spectrum import scan_spectrum
 
@@ -131,7 +131,7 @@ class TestCoefficientRoutes:
             lam = np.array([offlattice_lambda(rng, p.beta) for _ in range(64)])
             c11_fn, c12_fn = coefficient_evaluators(t, p.beta)
             free = {"c11": c11_fn(lam), "c12": c12_fn(lam)}
-            free.update((name, _value(rational_form(t, p.beta, name), lam)) for name in ("c21", "c22"))
+            free.update((name, rational_form(t, p.beta, name)(lam)) for name in ("c21", "c22"))
             for i, z in enumerate(lam):
                 cc = connection_coefficients(t, p.beta, z)
                 for name, values in free.items():
@@ -162,6 +162,18 @@ class TestCoefficientRoutes:
             batch = fn(points)
             alone = np.array([fn(z) for z in points])
             assert batch.tobytes() == alone.tobytes()
+
+    def test_terms_has_the_value_bits(self):
+        # Newton and the residual filter read terms(z)[0], the export and the
+        # report read form(z): one sum, bit for bit, on EIG's export plan and
+        # at the zeros the scan lists
+        table = build_table(EIG_POTENTIAL, 30)
+        report = scan_spectrum(table, EIG_POTENTIAL.beta)
+        points = sample_points([(h.lam, h.sector, h.multiplicity) for h in report.eigenvalues], 6)
+        zeros = np.array([h.lam for h in report.eigenvalues])
+        for form in coefficient_evaluators(table, EIG_POTENTIAL.beta):
+            for z in (points, zeros):
+                assert form.terms(z)[0].tobytes() == form(z).tobytes()
 
 
 def _one_circle_reference(c11_fn, c12_fn, n, rel_tol=1e-6):
