@@ -44,7 +44,7 @@ import sys
 
 import numpy as np
 
-from .coeffs import FourierPotential, build_table
+from .coeffs import FourierPotential
 from .errors import InsufficientSamples, SchemaError, SpectralError
 from .inverse import AnalyticProvider, SampledProvider, reconstruct, sample_points, sampled_provider
 from .scattering import POLE_CIRCLE_POINTS
@@ -307,9 +307,11 @@ def cmd_eval(args) -> int:
     _require(args.order >= 1, "require order >= 1")
     lam, x_range = _parse_lambda(args.lam), _parse_range(args.x_range)
     potential = load_potential(args.input)
-    table = build_table(potential, args.order)
+    with np.errstate(all="ignore"):  # an overflow is refused, not warned about
+        f, df, res = eval_with_residual(potential, args.order, lam, x_range, args.solution)
+        if not all(np.isfinite(v).all() for v in (f, df, np.abs(res))):
+            raise SpectralError(f"{args.solution} overflows double precision on {args.x_range}")
     out = _out_path(args.out, "solution.csv")
-    f, df, res = eval_with_residual(potential, table, lam, x_range, args.solution)
     lines = ["x,re,im,d_re,d_im,ode_residual_abs"]
     # Python abs per row: the residual column must not depend on the grid
     for x, v, d, r in zip(x_range.tolist(), f.tolist(), df.tolist(), res.tolist()):
@@ -341,7 +343,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=text)
         p.set_defaults(run=run)
         p.add_argument("input", nargs=input_nargs, help=input_help)
-        p.add_argument("-A", "--order", type=int, default=30, help="series truncation order")
+        p.add_argument("-A", "--order", type=int, default=30, help="series truncation order" + (
+            "; the sum stops at the rounding floor, never past it" if name == "eval" else ""))
         if name != "eval":  # eval samples one solution and has no harmonics to count
             p.add_argument("--nmax", type=int, default=6,
                            help="number of recovered harmonics / singular points")

@@ -71,16 +71,18 @@ class TailReport:
 
 
 class CoefficientTable:
-    """Immutable triangular array V[n, a], 1 <= n <= a <= order.
+    """Immutable triangular array V[n, a], 1 <= n <= a <= order, with the
+    harmonics q_1 ... q_order it satisfies.
 
     Entries are stored in a dense complex matrix; position [n-1, a-1] holds
-    V[n, a] and everything below the diagonal is zero.  Everything the
-    series evaluation needs that does not depend on x or lambda (the live
-    rows, the row sums at x = 0) is computed once here, so a table can be
-    shared between threads without locking.
+    V[n, a] and everything below the diagonal is zero.  The connection
+    coefficients read the live rows and their sums at x = 0, a branch's
+    series only the harmonics; all of it is computed once here, so a table
+    can be shared between threads without locking.  Without ``harmonics``
+    they are the column sums q_a = -a sum_n V[n, a].
     """
 
-    def __init__(self, entries: np.ndarray):
+    def __init__(self, entries: np.ndarray, harmonics=None):
         entries = np.array(entries, dtype=complex)
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
             raise ValueError("entries must be a square matrix")
@@ -90,9 +92,12 @@ class CoefficientTable:
         entries.setflags(write=False)
         self._entries = entries
         #: 0-based indices of the rows that are not identically zero.  Only
-        #: these carry a pole of the series; for a table that satisfies the
+        #: these carry a pole of a coefficient; for a table that satisfies the
         #: recurrences they are exactly the rows with V[n, n] != 0.
         self.live_rows = np.flatnonzero(np.any(entries != 0.0, axis=1))
+        if harmonics is None:
+            harmonics = [-a * entries[:a, a - 1].sum() for a in range(1, entries.shape[0] + 1)]
+        self.harmonics = tuple(complex(c) for c in harmonics)  #: q_1 ... q_order
         #: (s_n(0), s_n'(0)) for every row, where s_n(x) = sum_a V[n,a] e^{iax}:
         #: the row sums at x = 0, where every connection coefficient is taken.
         ia = 1j * np.arange(1, entries.shape[0] + 1)
@@ -130,7 +135,7 @@ def build_table(potential: FourierPotential, order: int = 30) -> CoefficientTabl
         n = np.arange(1, a)
         v[1:a, a] = -(v[1:a, 1:a] @ q[a - 1 : 0 : -1]) / (a * (a - n))
         v[a, a] = -q[a] / a - v[1:a, a].sum()
-    return CoefficientTable(v[1:, 1:])
+    return CoefficientTable(v[1:, 1:], q[1:])
 
 
 def table_from_diagonal(diag: Sequence[complex]) -> CoefficientTable:
@@ -154,11 +159,9 @@ def table_from_diagonal(diag: Sequence[complex]) -> CoefficientTable:
 
 
 def harmonics_from_table(table: CoefficientTable) -> list:
-    """q_a = -a * sum_n V[n, a] for a = 1 ... order."""
-    ent = table.entries
-    return [
-        complex(-a * ent[:a, a - 1].sum()) for a in range(1, table.order + 1)
-    ]
+    """q_1 ... q_order: as given to `build_table`, else the column sums
+    q_a = -a * sum_n V[n, a]."""
+    return list(table.harmonics)
 
 
 def recurrence_residuals(table: CoefficientTable, harmonics: Sequence[complex]) -> tuple[float, float]:

@@ -1,11 +1,9 @@
 """Series evaluation of the four fundamental solutions.
 
-All four are one series in one exponent k.  With V the coefficient table of
-the potential and s_n(x) = sum_a V[n,a] e^{iax} its row sums,
-
-    f(x; k) = e^{kx} (1 + sum_n s_n(x) / (n - 2ik)),
-
-and the branches are
+All four are one series in one exponent k, f(x; k) = e^{kx} g(x) with
+g(x) = 1 + sum_{a>=1} u_a e^{iax}, whose weights the potential's harmonics
+fix through a (a - 2ik) u_a = -N_a, N_a = sum_m q_m u_{a-m}, u_0 = 1
+(docs/series.md).  The branches are
 
     f1+ : k = +i lam      f1- : k = -i lam
     f2+ : k = +lam beta   f2- : k = -lam beta,
@@ -14,22 +12,20 @@ normalised by their exponential behaviour as Im x -> +infinity.  The f1
 pair solves -y'' + q y = lam^2 y (the x >= 0 form of the equation), the f2
 pair solves -y'' + q y = -lam^2 beta^2 y (the x < 0 form).  Every branch has
 its poles on the one lattice k = -in/2, n = 1 ... order, which is lam = -n/2
-for f1+, +n/2 for f1-, -in/(2 beta) for f2+ and +in/(2 beta) for f2-; a
-pole is present only where row n of the table is nonzero.  The minus
-branch of either family is the plus branch at -lam: both have the same k,
-so the identity is exact.
+for f1+, +n/2 for f1-, -in/(2 beta) for f2+ and +in/(2 beta) for f2-, and
+only where V[n, n] = -N_n(k_n)/n is nonzero.  The minus branch of either
+family is the plus branch at -lam: both have the same k.
 
-`_series` is the only place a branch is evaluated at a point x;
-everything else here, and `whole_line` in `scattering`, calls it.  The
-connection coefficients need the branches only at x = 0, at the other
-branch's poles, and `scattering.rational_form` forms those weights itself.
-Derivatives are always term-wise (analytic), never finite differences:
-the Wronskian identities downstream are exact only with exact derivatives.
+`_series` is the only place a branch is evaluated at a point x; everything
+else here, and `whole_line` in `scattering`, calls it, and it reads only a
+table's harmonics and order.  Derivatives are always term-wise, never finite
+differences: the Wronskian identities downstream need exact derivatives.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +36,11 @@ from .errors import PoleProximity
 #: Distance (in the lambda plane) under which generic series evaluation is
 #: refused and the caller must use the scaled limit `eval_fn_limit`.
 POLE_TOL = 1e-6
+
+#: A series stops once a bound on its remaining terms is below this fraction
+#: of the terms already summed, in g, g' and g'' alike: under the rounding of
+#: double precision.
+ROUNDING_FLOOR = 2.0**-60
 
 
 @dataclass(frozen=True)
@@ -62,37 +63,66 @@ def _exponent(which: str, lam, beta: float):
     return (k if which[2] == "+" else -k), scale
 
 
-def _series(table: CoefficientTable, k: complex, x, scale: float,
+def _weights(harmonics, order: int, k: complex, scale: float, stop: bool) -> np.ndarray:
+    """u_1, u_2, ... of g = 1 + sum_a u_a e^{iax}, by the recurrence in scalar
+    complex arithmetic, up to ``order``.  With ``stop`` (which needs
+    |e^{ix}| <= 1) they end once a bound on the rest of g, g' and g'' is
+    below `ROUNDING_FLOOR` of the terms before it in each, at an index set by
+    the harmonics and k alone, past every lattice point the guard covers.
+
+    Raises PoleProximity when k is within `POLE_TOL` (in the lam plane: the
+    k-distance over ``scale``) of a pole k = -in/2 whose N_n is not zero for
+    every k, that is, where sums of the nonzero harmonics' indices reach n.
+    """
+    q = [complex(c) for c in harmonics]
+    while q and q[-1] == 0:
+        q.pop()
+    band, two_ik = len(q), 2j * complex(k)
+    guarded = two_ik.real + 2.0 * scale * POLE_TOL  # no guarded lattice point past it
+    halving = 2.0 * sum(math.hypot(c.real, c.imag) for c in q)  # hypot: inf, not OverflowError
+    u, live, sums = [1.0 + 0j], [True], [1.0, 0.0, 0.0]  # sums: of a^d |u_a|, d = 0, 1, 2
+    for a in range(1, order + 1):
+        gap = a - two_ik
+        span = math.hypot(gap.real, gap.imag)
+        if stop and a >= band and a > guarded and a * span >= halving:
+            # each later |u_b| <= half the band before it: block j past s <= top/band 2^-j
+            s = a - 1
+            top = band * max((math.hypot(c.real, c.imag) for c in u[a - band:]), default=0.0)
+            tails = (top, top * (s + 2 * band), top * (s * s + 4 * s * band + 6 * band * band))
+            if all(t <= ROUNDING_FLOOR * w for t, w in zip(tails, sums)):
+                break
+        num = sum(c * u[a - m] for m, c in enumerate(q[:a], 1))
+        live.append(any(c and live[a - m] for m, c in enumerate(q[:a], 1)))  # else num is 0
+        if live[a]:
+            dist = span / (2.0 * scale)
+            if dist < POLE_TOL:
+                raise PoleProximity(f"lambda is {dist:.3g} from a pole of the series "
+                                    f"(tolerance {POLE_TOL})")
+            num = -num / (a * gap)
+        u.append(num)
+        size = math.hypot(num.real, num.imag)
+        sums = [w + a**d * size for d, w in enumerate(sums)]
+    return np.array(u[1:], dtype=complex)
+
+
+def _series(harmonics, order: int, k: complex, x, scale: float,
             second: bool = False) -> tuple:
     """f(x; k), its x-derivative and, with ``second``, its second
     x-derivative, over a scalar or 1-d array x; the results are shaped like x.
 
-    The weights are contracted with the table once, u_a = sum_n w_n V[n,a],
-    and sum_a u_a (ia)^d e^{iax} is summed by Horner's rule in z = e^{ix},
-    elementwise (a point's bits do not depend on the rest of x) and in
-    O(len(x)) memory.
-
-    Raises PoleProximity when k is closer than `POLE_TOL` to a pole
-    k = -in/2 of a live row, the distance measured in the lam plane (the
-    k-distance divided by ``scale``).
+    The weights of `_weights`, stopped when every Im x >= 0, are summed as
+    sum_a u_a (ia)^d e^{iax} by Horner's rule in z = e^{ix}, in place and
+    elementwise (a point's bits do not depend on the rest of x).
     """
-    rows = table.live_rows
-    denom = (rows + 1.0) - 2j * k
-    # n - 2ik = -2i (k + in/2), so the weights' own denominators give the
-    # pole distance
-    dist = np.min(np.abs(denom), initial=np.inf) / (2.0 * scale)
-    if dist < POLE_TOL:
-        raise PoleProximity(
-            f"lambda is {dist:.3g} from a pole of the series (tolerance {POLE_TOL})"
-        )
-    u = (1.0 / denom) @ table.entries[rows]
     x = np.atleast_1d(x)
-    ia = 1j * np.arange(1, table.order + 1)
+    u = _weights(harmonics, order, k, scale, stop=bool(np.all(np.imag(x) >= 0)))
+    ia = 1j * np.arange(1, len(u) + 1)
     coef = np.stack([u, ia * u, ia * ia * u][: 3 if second else 2], axis=1)
     z = np.exp(1j * x)
     acc = np.zeros((coef.shape[1],) + x.shape, dtype=complex)
     for c in coef[::-1]:
-        acc = (acc + c[:, None]) * z
+        np.add(acc, c[:, None], out=acc)
+        np.multiply(acc, z, out=acc)
     g, dg, *d2g = acc
     g = 1.0 + g
     e = np.exp(k * x)
@@ -107,7 +137,7 @@ def _sample(table: CoefficientTable, beta: float, which: str, lam, x) -> Solutio
     if np.ndim(x):
         raise ValueError("x must be a scalar; eval_with_residual takes an array")
     k, scale = _exponent(which, complex(lam), beta)
-    f, df = _series(table, k, x, scale)
+    f, df = _series(table.harmonics, table.order, k, x, scale)
     return SolutionSample(complex(f[0]), complex(df[0]))
 
 
@@ -148,31 +178,35 @@ def eval_fn_limit(table: CoefficientTable, n: int, x) -> complex:
     return complex(row) * cmath.exp(-0.5j * n * complex(x))
 
 
-def eval_with_residual(potential: FourierPotential, table: CoefficientTable, lam: complex,
-                       x, which: str) -> tuple:
-    """Value, slope and ODE residual of one branch over the real array x,
-    from a single series pass; see `ode_residual`.
-
-    Every point is computed elementwise, so each one has the same bits as
-    `eval_f1` / `eval_f2` and `ode_residual` at that x alone.
-    """
+def _with_residual(potential: FourierPotential, harmonics, order: int, lam: complex, x,
+                   which: str) -> tuple:
     lam = complex(lam)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     k, scale = _exponent(which, lam, potential.beta)
-    f, df, f2d = _series(table, k, x, scale, second=True)
+    f, df, f2d = _series(harmonics, order, k, x, scale, second=True)
     rho = np.where(x >= 0, 1.0, -(potential.beta**2))
     return f, df, -f2d + potential.at(x) * f - lam * lam * rho * f
 
 
+def eval_with_residual(potential: FourierPotential, order: int, lam: complex, x,
+                       which: str) -> tuple:
+    """Value, slope and ODE residual of one branch over the real array x,
+    from one series pass of the potential's harmonics to ``order``; no table
+    is built.  Each point has the bits of `eval_f1` / `eval_f2` and
+    `ode_residual` on `build_table(potential, order)` at that x alone.
+    """
+    return _with_residual(potential, potential.q[:order], order, lam, x, which)
+
+
 def ode_residual(potential: FourierPotential, table: CoefficientTable, lam: complex, x: float,
                  which: str) -> complex:
-    """-f'' + q(x) f - lam^2 rho(x) f for one of the four truncated series.
+    """-f'' + q(x) f - lam^2 rho(x) f for one of the four series of the
+    table's harmonics.
 
-    The second derivative is exact term-wise differentiation of the stored
+    The second derivative is exact term-wise differentiation of the
     series.  ``which`` is one of 'f1+', 'f1-', 'f2+', 'f2-'; rho(x) is 1 for
     x >= 0 and -beta^2 otherwise (evaluate away from the jump at 0).
     """
     if np.ndim(x):
         raise ValueError("x must be a scalar; eval_with_residual takes an array")
-    return complex(eval_with_residual(potential, table, lam, x, which)[2][0])
-
+    return complex(_with_residual(potential, table.harmonics, table.order, lam, x, which)[2][0])

@@ -1,6 +1,7 @@
 """Command-line interface, file schemas and byte determinism."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from spectral_sl import (
     sampled_provider,
 )
 from spectral_sl import cli
+from spectral_sl import coeffs as coeffs_module
 from spectral_sl import inverse as inverse_module
 from spectral_sl.cli import (
     load_potential,
@@ -595,6 +597,60 @@ class TestEvalCommand:
         ]) == 2
         assert "numerical error" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [pot]
+
+    def test_overflow_exits_two_without_output(self, tmp_path, capsys):
+        # e^{kx} overflows at x = -800 for f2- at lambda = 1+1i: the rows would
+        # read nan and inf, so nothing is written
+        pot = tmp_path / "p.json"
+        write_potential(pot, 1.0, [1.0 + 0.5j])
+        csv = tmp_path / "c.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning either
+            assert main([
+                "eval", str(pot), "--lambda", "1+1i", "--x-range=-800:-700:3",
+                "--solution", "f2-", "--out", str(csv),
+            ]) == 2
+        assert capsys.readouterr().err.startswith("numerical error: ")
+        assert list(tmp_path.iterdir()) == [pot]
+
+    def test_dead_row_is_no_pole(self, tmp_path, capsys):
+        # q = (0, 1) leaves row 1 of the table zero: lam = -1/2 is no pole of
+        # f1+, while lam = -1, on the live row 2, is one
+        pot = tmp_path / "p.json"
+        write_potential(pot, 1.0, [0.0, 1.0])
+        argv = ["eval", str(pot), "--x-range", "0:2:5", "--solution", "f1+"]
+        assert main(argv + ["--lambda", "-0.5", "--out", str(tmp_path / "a.csv")]) == 0
+        assert main(argv + ["--lambda", "-1", "--out", str(tmp_path / "b.csv")]) == 2
+        assert "numerical error" in capsys.readouterr().err
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["a.csv", "p.json"]
+
+    def test_order_past_the_stop_writes_the_same_bytes(self, tmp_path):
+        # the sum stops at the rounding floor, which -A 120 already passes
+        pot = tmp_path / "p.json"
+        write_potential(pot, 1.76, [-2.82 - 0.23j, 3.49 + 4.01j, -0.97 - 2.41j])
+        csvs = []
+        for order in ("120", "5000"):
+            csv = tmp_path / f"c{order}.csv"
+            assert main([
+                "eval", str(pot), "-A", order, "--lambda", "0.9+0.4i",
+                "--x-range=-6:-0.003:201", "--solution", "f2-", "--out", str(csv),
+            ]) == 0
+            csvs.append(csv.read_bytes())
+        assert csvs[0] == csvs[1]
+
+    def test_builds_no_table(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("eval built a table")
+
+        monkeypatch.setattr(coeffs_module, "build_table", refuse)
+        monkeypatch.setattr(coeffs_module.CoefficientTable, "__init__", refuse)
+        pot = tmp_path / "p.json"
+        write_potential(pot, EIG_POTENTIAL.beta, EIG_POTENTIAL.q)
+        for which in ("f1+", "f2-"):
+            assert main([
+                "eval", str(pot), "-A", "120", "--lambda", "0.9+0.4i", "--x-range", "0:1:5",
+                "--solution", which, "--out", str(tmp_path / "c.csv"),
+            ]) == 0
 
     def test_bad_lambda_exits_one(self, tmp_path):
         pot = tmp_path / "p.json"

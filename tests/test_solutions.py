@@ -16,8 +16,10 @@ from spectral_sl import (
     wronskian,
 )
 from spectral_sl.scattering import matching_coefficients_f1, matching_coefficients_f2
+from spectral_sl.solutions import _exponent, _series, _weights, eval_with_residual
 
 from .conftest import Q1_TABLE_3, offlattice_lambda, random_potential
+from .oracles import QC, exact_forward_table
 
 Q1 = FourierPotential(beta=1.0, q=(1.0,))
 
@@ -248,3 +250,158 @@ class TestExtension:
     def test_zero_wavenumber_rejected(self, q1_table_30):
         with pytest.raises(ZeroWavenumber):
             whole_line(q1_table_30, Q1.beta, "f2", 1e-9, 0.5)
+
+
+# --- the recurrence route against the table route -----------------------------
+
+#: The eval workload's two bases, the EIG anchor, q = (1,) and one more
+#: three-harmonic potential.
+ROUTE_POTENTIALS = {
+    "eig": FourierPotential(beta=1.0, q=(4.0 + 4.0j,)),
+    "q1": Q1,
+    "h1-6": FourierPotential(beta=1.79, q=(-1.01 - 3.29j,)),
+    "h3-16": FourierPotential(beta=1.76, q=(-2.82 - 0.23j, 3.49 + 4.01j, -0.97 - 2.41j)),
+    "three": FourierPotential(beta=0.7, q=(0.8 - 0.3j, -0.5 + 0.9j, 0.3 + 0.2j)),
+}
+ROUTE_ORDER = 60
+
+
+def table_route(table, k, x):
+    """The table route, as an oracle: e^{kx} (1 + sum_n (n - 2ik)^-1
+    sum_a V[n,a] e^{iax}) and its slope, over the table's live rows."""
+    rows = table.live_rows
+    w = 1.0 / ((rows + 1.0) - 2j * k)
+    a = np.arange(1, table.order + 1)
+    terms = table.entries[rows] * np.exp(1j * a * x)
+    g = 1.0 + w @ terms.sum(axis=1)
+    dg = w @ (terms * (1j * a)).sum(axis=1)
+    e = np.exp(k * x)
+    return e * g, e * (k * g + dg)
+
+
+def recurrence(q, k, count):
+    """u_0 ... u_{count-1} of a (a - 2ik) u_a = -sum_m q_m u_{a-m}, written
+    out here, off every lattice point below count."""
+    u = [1.0 + 0j]
+    for a in range(1, count):
+        num = sum(q[m - 1] * u[a - m] for m in range(1, min(a, len(q)) + 1))
+        u.append(-num / (a * (a - 2j * k)))
+    return u
+
+
+def horner(u, x):
+    """sum_a u_a e^{iax} and its slope for the weights u_1, u_2, ...; no stop."""
+    z = np.exp(1j * np.asarray(x))
+    g = dg = 0.0
+    for a in range(len(u), 0, -1):
+        g, dg = (g + u[a - 1]) * z, (dg + 1j * a * u[a - 1]) * z
+    return g, dg
+
+
+class TestRecurrenceRoute:
+    @pytest.mark.parametrize("name", sorted(ROUTE_POTENTIALS))
+    def test_values_match_the_table_route(self, name):
+        p = ROUTE_POTENTIALS[name]
+        table = build_table(p, ROUTE_ORDER)
+        lams = [0.9 + 0.4j, -0.7 + 1.1j, -1.2 - 0.5j, 0.6 - 0.8j,  # the four quadrants
+                0.5 + 1e-3, -1.0 - 1e-3,  # 1e-3 from n/2
+                1j / (2 * p.beta) + 1e-3, -2j / (2 * p.beta) - 1e-3j]  # and from i n/(2 beta)
+        for lam in lams:
+            for which in ("f1+", "f1-", "f2+", "f2-"):
+                k, _ = _exponent(which, lam, p.beta)
+                for x in ((0.0, 0.7, 2.3) if which[1] == "1" else (-2.3, -0.7, 0.0)):
+                    if which[1] == "1":
+                        s = eval_f1(table, lam, x, which[2])
+                    else:
+                        s = eval_f2(table, p.beta, lam, x, which[2])
+                    value, slope = table_route(table, k, x)
+                    assert abs(s.value - value) <= 1e-13 * abs(value), (lam, which, x)
+                    assert abs(s.derivative - slope) <= 1e-13 * abs(slope), (lam, which, x)
+
+    @pytest.mark.parametrize("name", sorted(ROUTE_POTENTIALS))
+    def test_diagonal_is_the_recurrence_numerator(self, name):
+        # (n - 2ik) u_n -> -N_n(k_n)/n = V[n,n] as k -> k_n = -in/2.  The
+        # table's V[n,n] = -q_n/n - sum_{m<n} V[m,n] cancels down to far
+        # below its terms, so it is compared at the scale of its column.
+        p = ROUTE_POTENTIALS[name]
+        table = build_table(p, 20)
+        exact = None
+        if len(p.q) == 1:
+            exact = exact_forward_table([QC.of(p.q[0].real, p.q[0].imag)], 20)
+        for n in range(1, 21):
+            u = recurrence(p.q, -0.5j * n, n)
+            v_nn = -sum(p.harmonic(m) * u[n - m] for m in range(1, n + 1)) / n
+            column = np.abs(table.entries[:, n - 1]).sum()
+            assert abs(table.entry(n, n) - v_nn) <= 1e-13 * column, n
+            if exact is not None:  # the recurrence itself is exact to rounding
+                truth = exact[(n, n)].to_complex()
+                assert abs(v_nn - truth) <= 1e-15 * abs(truth), n
+
+    def test_dead_row_has_no_pole(self):
+        # q = (0, 1): row 1 of the table is zero, so lam = -1/2 is no pole of
+        # f1+; lam = -1 is one, from the live row 2
+        p = FourierPotential(beta=1.0, q=(0.0, 1.0))
+        table = build_table(p, 30)
+        s = eval_f1(table, -0.5, 0.4, "+")
+        assert np.isfinite(s.value) and np.isfinite(s.derivative)
+        with pytest.raises(PoleProximity):
+            eval_f1(table, -1.0, 0.4, "+")
+
+    def test_row_dead_by_cancellation_is_refused(self):
+        # q = (1, -1) zeroes V[2,2] by cancellation, not by structure: N_2(k)
+        # vanishes at k_2 only, where u_2 is a removable limit the recurrence
+        # cannot form, so the guard refuses the point rather than set u_2 = 0
+        p = FourierPotential(beta=1.0, q=(1.0, -1.0))
+        table = build_table(p, 30)
+        assert table.entry(2, 2) == 0.0
+        for lam in (-1.0, -1.0 + 1e-7):
+            with pytest.raises(PoleProximity):
+                eval_f1(table, lam, 0.4, "+")
+
+
+class TestStop:
+    BASES = ("h1-6", "h3-16")
+    LAMS = (0.9 + 0.4j, 1.7 + 0.35j, 0.3 + 1.9j)
+
+    @pytest.mark.parametrize("name", BASES)
+    def test_stopped_sum_equals_the_full_sum(self, name):
+        p = ROUTE_POTENTIALS[name]
+        order = 120
+        for lam in self.LAMS:
+            for which in ("f1+", "f1-", "f2+", "f2-"):
+                k, scale = _exponent(which, lam, p.beta)
+                x = np.linspace(0.0, 6.0, 41) if which[1] == "1" else np.linspace(-6.0, -0.003, 41)
+                f, df, _ = eval_with_residual(p, order, lam, x, which)
+                g, dg = horner(_weights(p.q, order, k, scale, stop=False), x)
+                e = np.exp(k * x)
+                full, full_slope = e * (1.0 + g), e * (k * (1.0 + g) + dg)
+                assert np.all(np.abs(f - full) <= 1e-15 * np.abs(full))
+                assert np.all(np.abs(df - full_slope) <= 1e-15 * np.abs(full_slope))
+
+    @pytest.mark.parametrize("name", BASES)
+    def test_stop_index_depends_on_neither_order_nor_second(self, name):
+        p = ROUTE_POTENTIALS[name]
+        x = np.linspace(-6.0, 6.0, 25)
+        for lam in self.LAMS:
+            for which in ("f1+", "f1-", "f2+", "f2-"):
+                k, scale = _exponent(which, lam, p.beta)
+                stopped = len(_weights(p.q, 120, k, scale, stop=True))
+                assert stopped < 120
+                assert len(_weights(p.q, 5000, k, scale, stop=True)) == stopped
+                assert len(_weights(p.q, stopped, k, scale, stop=True)) == stopped
+                f, df = _series(p.q, 120, k, x, scale)
+                f2, df2, _ = _series(p.q, 5000, k, x, scale, second=True)
+                assert np.array_equal(f, f2) and np.array_equal(df, df2)
+
+    def test_complex_x_below_the_axis_runs_to_the_order(self):
+        # |e^{ix}| > 1 there, so the stop's bound does not hold
+        p = ROUTE_POTENTIALS["h3-16"]
+        table = build_table(p, 120)
+        lam, x = 0.9 + 0.4j, 0.5 - 0.7j
+        k, scale = _exponent("f1+", lam, p.beta)
+        s = eval_f1(table, lam, x, "+")
+        g, dg = horner(_weights(p.q, 120, k, scale, stop=False), x)
+        e = np.exp(k * x)
+        value, slope = e * (1.0 + g), e * (k * (1.0 + g) + dg)
+        assert abs(s.value - value) <= 1e-15 * abs(value)
+        assert abs(s.derivative - slope) <= 1e-15 * abs(slope)
