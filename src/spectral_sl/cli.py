@@ -300,7 +300,10 @@ def _parse_range(text: str):
         raise SchemaError(f"cannot parse --x-range {text!r}") from exc
     _require(np.isfinite([lo, hi]).all(), f"--x-range bounds must be finite, not {text!r}")
     _require(count >= 1, "--x-range count must be >= 1")
-    return np.linspace(lo, hi, count)
+    try:
+        return np.linspace(lo, hi, count)
+    except (ValueError, MemoryError) as exc:  # numpy refuses the size, or cannot allocate it
+        raise SchemaError(f"--x-range count {count} cannot be allocated ({exc})") from exc
 
 
 def cmd_eval(args) -> int:
@@ -343,8 +346,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=text)
         p.set_defaults(run=run)
         p.add_argument("input", nargs=input_nargs, help=input_help)
-        p.add_argument("-A", "--order", type=int, default=30, help="series truncation order" + (
-            "; the sum stops at the rounding floor, never past it" if name == "eval" else ""))
+        p.add_argument("-A", "--order", type=int, default=30, help="series truncation order" + {
+            "eval": "; the sum stops at the rounding floor, never past it",
+            "inverse": "; read only by --self-test"}.get(name, ""))
         if name != "eval":  # eval samples one solution and has no harmonics to count
             p.add_argument("--nmax", type=int, default=6,
                            help="number of recovered harmonics / singular points")

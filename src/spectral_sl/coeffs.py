@@ -7,13 +7,10 @@ triangular array V[n, a] (1 <= n <= a <= A) satisfying
     a (a - n) V[n, a] + sum_{s=n}^{a-1} q_{a-s} V[n, s] = 0    (n < a)
     a * sum_{n=1}^{a} V[n, a] + q_a = 0
 
-The second relation inverts directly to q_a = -a * sum_n V[n, a], and the
-diagonal alone determines the whole table through
-
-    V[n, a+n] = V[n, n] * sum_{m=1}^{a} V[m, a] / (m + n),
-
-filled column by column.  All of that lives here; nothing in this module
-depends on the spectral parameter.
+Column a of the first relation needs only q_1 ... q_{a-1}, so the second
+fixes either V[a, a] from q_a or q_a from V[a, a]: the harmonics and the
+diagonal each determine the whole table.  All of that lives here; nothing
+in this module depends on the spectral parameter.
 """
 
 from __future__ import annotations
@@ -76,13 +73,10 @@ class CoefficientTable:
 
     Entries are stored in a dense complex matrix; position [n-1, a-1] holds
     V[n, a] and everything below the diagonal is zero.  The connection
-    coefficients read the live rows and their sums at x = 0, a branch's
-    series only the harmonics; all of it is computed once here, so a table
-    can be shared between threads without locking.  Without ``harmonics``
-    they are the column sums q_a = -a sum_n V[n, a].
+    coefficients read the live rows, a branch's series only the harmonics.
     """
 
-    def __init__(self, entries: np.ndarray, harmonics=None):
+    def __init__(self, entries: np.ndarray, harmonics: Sequence[complex]):
         entries = np.array(entries, dtype=complex)
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
             raise ValueError("entries must be a square matrix")
@@ -95,13 +89,7 @@ class CoefficientTable:
         #: these carry a pole of a coefficient; for a table that satisfies the
         #: recurrences they are exactly the rows with V[n, n] != 0.
         self.live_rows = np.flatnonzero(np.any(entries != 0.0, axis=1))
-        if harmonics is None:
-            harmonics = [-a * entries[:a, a - 1].sum() for a in range(1, entries.shape[0] + 1)]
         self.harmonics = tuple(complex(c) for c in harmonics)  #: q_1 ... q_order
-        #: (s_n(0), s_n'(0)) for every row, where s_n(x) = sum_a V[n,a] e^{iax}:
-        #: the row sums at x = 0, where every connection coefficient is taken.
-        ia = 1j * np.arange(1, entries.shape[0] + 1)
-        self.zero_sums = (entries @ np.ones_like(ia), entries @ ia)
 
     @property
     def order(self) -> int:
@@ -120,47 +108,42 @@ class CoefficientTable:
         return np.diagonal(self._entries).copy()
 
 
-def build_table(potential: FourierPotential, order: int = 30) -> CoefficientTable:
-    """Fill the table column by column from the potential harmonics.
+def _fill(q: np.ndarray, diag=None) -> CoefficientTable:
+    """Run the two recurrences column by column over q = [0, q_1, ...].
 
-    The divisor a (a - n) is at least 1, so the recursion never degenerates.
-    Entries left of the diagonal are zero, so the sum over s = n ... a-1
-    for rows n < a is one product with the known block of columns < a.
+    At column a the off-diagonal relation gives rows n < a from q_1 ...
+    q_{a-1}; the divisor a (a - n) is at least 1, and entries left of the
+    diagonal are zero, so the sum over s = n ... a-1 is one product with
+    the known block of columns < a.  The column sum then gives V[a, a] from
+    q_a, or, with ``diag`` given, q_a from V[a, a], written into q.  An
+    order below 1 is refused by `CoefficientTable`.
     """
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    q = np.array([0.0] + [potential.harmonic(n) for n in range(1, order + 1)], dtype=complex)
+    order = len(q) - 1
     v = np.zeros((order + 1, order + 1), dtype=complex)
     for a in range(1, order + 1):
         n = np.arange(1, a)
         v[1:a, a] = -(v[1:a, 1:a] @ q[a - 1 : 0 : -1]) / (a * (a - n))
-        v[a, a] = -q[a] / a - v[1:a, a].sum()
+        if diag is None:
+            v[a, a] = -q[a] / a - v[1:a, a].sum()
+        else:
+            v[a, a] = diag[a - 1]
+            q[a] = -a * v[1 : a + 1, a].sum()
     return CoefficientTable(v[1:, 1:], q[1:])
 
 
-def table_from_diagonal(diag: Sequence[complex]) -> CoefficientTable:
-    """Rebuild the full table from its diagonal V[n, n].
+def build_table(potential: FourierPotential, order: int = 30) -> CoefficientTable:
+    """Fill the table from the potential harmonics q_1 ... q_order."""
+    return _fill(np.array([0.0] + [potential.harmonic(n) for n in range(1, order + 1)], dtype=complex))
 
-    Columns are filled in increasing order; the entry V[n, c] (n < c) only
-    needs the fully known column c - n, so every right-hand side term is
-    available by the time it is used.  Column c reads columns c-1 ... 1,
-    that is c - n for n = 1 ... c-1, as one reversed block.
-    """
-    diag = np.asarray(diag, dtype=complex)
-    order = len(diag)
-    if order < 1:
-        raise ValueError("need at least one diagonal entry")
-    v = np.zeros((order + 1, order + 1), dtype=complex)
-    np.fill_diagonal(v[1:, 1:], diag)
-    for c in range(2, order + 1):
-        m = np.arange(1, c)
-        v[1:c, c] = np.diagonal(v)[1:c] * (v[1:c, c - 1 : 0 : -1] / (m[:, None] + m)).sum(axis=0)
-    return CoefficientTable(v[1:, 1:])
+
+def table_from_diagonal(diag: Sequence[complex]) -> CoefficientTable:
+    """Fill the table, and with it q_1 ... q_order, from its diagonal V[n, n]."""
+    return _fill(np.zeros(len(diag) + 1, dtype=complex), diag)
 
 
 def harmonics_from_table(table: CoefficientTable) -> list:
-    """q_1 ... q_order: as given to `build_table`, else the column sums
-    q_a = -a * sum_n V[n, a]."""
+    """q_1 ... q_order: as given to `build_table`, or as `table_from_diagonal`
+    solved the column sums for them."""
     return list(table.harmonics)
 
 

@@ -92,19 +92,20 @@ def rational_form(table: CoefficientTable, beta: float, name: str) -> RationalFo
     The coefficient is W(F, G)/(nu lam) for its branches F, G at x = 0, with
     exponents a lam and b lam, and nu = 2i (c11, c12) or 2 beta (c21, c22).
     Each branch there is g = 1 + sum_n s_n/(n - 2ia lam), with slope
-    a lam g + sum_n s'_n/(n - 2ia lam) for the row sums (s_n, s'_n) of
-    `table.zero_sums`, so d = (a - b)/nu, lam = 0 is removable, and each live
-    row puts a simple pole p on each branch's lattice.  At a pole of F the
-    residue is ((n s_n/(2i) + s'_n) G(p) - s_n G'(p)) / (-nu n); at a pole of
-    G, the negative of the same with F and G swapped.  docs/spectrum.md
-    derives it.
+    a lam g + sum_n s'_n/(n - 2ia lam) for the row sums s_n = sum_m V[n, m]
+    and s'_n = sum_m im V[n, m], so d = (a - b)/nu, lam = 0 is removable, and
+    each live row puts a simple pole p on each branch's lattice.  At a pole
+    of F the residue is ((n s_n/(2i) + s'_n) G(p) - s_n G'(p)) / (-nu n); at
+    a pole of G, the negative of the same with F and G swapped.
+    docs/spectrum.md derives it.
     """
     first, second = _WRONSKIAN_PAIRS[name]
     a, b = (_exponent(which, 1.0, beta)[0] for which in (first, second))
     nu = 2j if name in ("c11", "c12") else 2.0 * beta
     rows = table.live_rows
     n = rows + 1.0
-    s, ds = (sums[rows] for sums in table.zero_sums)
+    ia = 1j * np.arange(1, table.order + 1)
+    s, ds = ((table.entries @ w)[rows] for w in (np.ones_like(ia), ia))
     own = np.array([[a], [b]])  # row 0: the poles of F, row 1: those of G
     p = n / (2j * own)
     # the other branch's value g and slope k g + h at each pole, e^{kx} = 1

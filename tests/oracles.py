@@ -78,8 +78,9 @@ def exact_forward_table(harmonics: list, order: int) -> dict:
 
 
 def exact_diagonal_fill(diag: list, order: int) -> dict:
-    """Exact rebuild of the table from its diagonal via the off-diagonal
-    propagation rule, column by column."""
+    """Exact rebuild of the table from its diagonal via the propagation
+    identity V[n, a+n] = V[n, n] sum_{m=1}^{a} V[m, a]/(m + n), column by
+    column: a route to the table that shares no step with the recurrences."""
     v: dict = {}
     for n in range(1, order + 1):
         v[(n, n)] = diag[n - 1]

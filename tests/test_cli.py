@@ -674,6 +674,20 @@ class TestEvalCommand:
         assert "must be finite" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [pot]
 
+    @pytest.mark.parametrize("count", [10**20, 10**17])
+    def test_unallocatable_count_exits_one(self, tmp_path, capsys, count):
+        # 10**20 points exceed numpy's largest array size and 10**17 float64s
+        # are 711 PiB, more than any address space: numpy refuses both
+        # before it touches memory, and neither is a traceback
+        pot = tmp_path / "p.json"
+        write_potential(pot, 1.0, [])
+        assert main([
+            "eval", str(pot), "--lambda", "1+1i", "--x-range", f"0:1:{count}",
+            "--solution", "f1+", "--out", str(tmp_path / "c.csv"),
+        ]) == 1
+        assert capsys.readouterr().err.startswith(f"schema error: --x-range count {count} ")
+        assert list(tmp_path.iterdir()) == [pot]
+
 
 class TestSpectrumCommand:
     def test_report_written(self, tmp_path):

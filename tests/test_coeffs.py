@@ -140,9 +140,10 @@ class TestDiagonalFill:
         assert abs(t.entry(1, 2) - v * v / 2.0) < 1e-16
 
     def test_matches_forward_fill_in_exact_arithmetic(self):
-        # the off-diagonal propagation rule is stated without derivation;
-        # confirm it against the defining recurrences over exact rationals
-        # through order 8 and for more than one harmonic
+        # the propagation identity V[n, a+n] = V[n, n] sum_m V[m, a]/(m + n)
+        # shares no step with the recurrences the package runs: over exact
+        # rationals, through order 8 and for more than one harmonic, the
+        # diagonal fixes the same table through either
         for harmonics in ([QC.of(1)], [QC.of(1, -2), QC.of(0, 1)], [QC.of(2, 1), QC.of(-1), QC.of(1, 1)]):
             forward = exact_forward_table(harmonics, 8)
             diag = [forward[(n, n)] for n in range(1, 9)]
@@ -158,6 +159,19 @@ class TestDiagonalFill:
             rebuilt = table_from_diagonal(list(t.diagonal()))
             scale = np.max(np.abs(t.entries)) or 1.0
             assert np.max(np.abs(rebuilt.entries - t.entries)) < 1e-10 * scale
+
+    @pytest.mark.parametrize("m,bound", [
+        (6, 1e-13), (10, 6e-13), (14, 2e-11), (20, 3e-11), (40, 2e-9), (80, 1.5e-7),
+    ])
+    def test_harmonics_from_the_exact_diagonal(self, m, bound):
+        # the fill's own error on the strong sweep q = (m e^{0.7i},): the
+        # diagonal is exact up to its final rounding, so whatever q_n loses
+        # beyond that is lost in the fill
+        q1 = m * np.exp(0.7j)
+        exact = exact_forward_table([QC.of(q1.real, q1.imag)], 6)
+        q = harmonics_from_table(table_from_diagonal([exact[(n, n)].to_complex() for n in range(1, 7)]))
+        for got, truth in zip(q, [q1, 0, 0, 0, 0, 0]):
+            assert abs(got - truth) <= bound * max(1.0, abs(truth))
 
 
 class TestHarmonicsFromTable:
