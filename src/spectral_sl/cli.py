@@ -9,7 +9,8 @@ inverse              spectral-data.json -> reconstruction.json
 eval                 potential.json -> CSV curve of one solution
 
 File formats (all JSON, floats serialised by Python's shortest round-trip
-representation, so identical inputs give byte-identical outputs):
+representation, so identical inputs give byte-identical outputs; the
+products are written compact, with no space after "," or ":"):
 
 potential.json        {"beta": <float>, "q": [[re, im], ...]}
                       index i of "q" holds the harmonic q_{i+1}.
@@ -25,7 +26,8 @@ spectrum-report.json  {"eigenvalues": [{"re","im","sector","multiplicity",
                        "singularities": [{"kind","n","re","im"}],
                        "continuous_spectrum": <descriptor string>}
 reconstruction.json   {"beta": <float>, "q": [[re, im], ...],
-                       "diagnostics": {...}}
+                       "diagnostics": {"stable_harmonics": [bool, ...],
+                                       "eigenvalue_count": <int>}}
 
 Exit codes: 0 success, 1 schema error, 2 numerical error, 3 I/O error.  A
 usage error is a schema error.  Each command checks only the options it
@@ -93,7 +95,8 @@ def _load_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except ValueError as exc:  # JSONDecodeError, or an integer of over 4,300 digits
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, an integer of over
+        # 4,300 digits, or arrays or objects nested deeper than the parser recurses
         raise SchemaError(f"{path}: cannot be read as JSON ({exc})") from exc
 
 
@@ -116,7 +119,7 @@ def _write_text(path, text: str):
 
 def _write_json(path, obj):
     # the C encoder, unlike dump; a failed encoding leaves no .tmp behind
-    _write_text(path, json.dumps(obj, ensure_ascii=True) + "\n")
+    _write_text(path, json.dumps(obj, ensure_ascii=True, separators=(",", ":")) + "\n")
 
 
 def load_potential(path) -> FourierPotential:
@@ -166,17 +169,22 @@ def load_spectral_data(path) -> dict:
     _require(isinstance(data["meta"], dict), "'meta' must be an object")
     n_max = data["meta"].get("n_max", 1)  # absent: the inverse takes --nmax
     _require(type(n_max) is int and n_max >= 1, "meta.n_max must be an integer >= 1")
+    # no message is formatted unless a check fails
     for i, e in enumerate(data["eigenvalues"]):
-        _require(isinstance(e, dict), f"eigenvalues[{i}] must be an object")
+        if type(e) is not dict:
+            raise SchemaError(f"eigenvalues[{i}] must be an object")
         for key in ("re", "im", "sector", "multiplicity"):
-            _require(key in e, f"eigenvalues[{i}] is missing '{key}'")
+            if key not in e:
+                raise SchemaError(f"eigenvalues[{i}] is missing '{key}'")
         bad = _non_numeric(e, ("re", "im"))
-        _require(bad is None, f"eigenvalues[{i}].{bad} must be a number")
-        _require(type(e["sector"]) is int and 0 <= e["sector"] <= 3, f"eigenvalues[{i}].sector must be 0..3")
+        if bad is not None:
+            raise SchemaError(f"eigenvalues[{i}].{bad} must be a number")
+        if not (type(e["sector"]) is int and 0 <= e["sector"] <= 3):
+            raise SchemaError(f"eigenvalues[{i}].sector must be 0..3")
         mult = e["multiplicity"]
-        _require(type(mult) is int and mult >= 1, f"eigenvalues[{i}].multiplicity must be an integer >= 1")
+        if not (type(mult) is int and mult >= 1):
+            raise SchemaError(f"eigenvalues[{i}].multiplicity must be an integer >= 1")
     for i, s in enumerate(data["samples"]):
-        # no message is formatted unless a check fails
         if type(s) is not dict:
             raise SchemaError(f"samples[{i}] must be an object")
         for key in ("re", "im", "c11", "c12"):

@@ -22,6 +22,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import SchemaError
+
 
 class TruncationWarning(UserWarning):
     """Weighted-norm column contributions stopped decreasing."""
@@ -77,12 +79,12 @@ class CoefficientTable:
     """
 
     def __init__(self, entries: np.ndarray, harmonics: Sequence[complex]):
-        entries = np.array(entries, dtype=complex)
+        entries = np.asarray(entries, dtype=complex)
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
             raise ValueError("entries must be a square matrix")
         if entries.shape[0] < 1:
             raise ValueError("order must be at least 1")
-        entries[np.tril_indices(entries.shape[0], k=-1)] = 0.0
+        entries = np.triu(entries)  # a copy: the caller's array is never written
         entries.setflags(write=False)
         self._entries = entries
         #: 0-based indices of the rows that are not identically zero.  Only
@@ -108,19 +110,28 @@ class CoefficientTable:
         return np.diagonal(self._entries).copy()
 
 
-def _fill(q: np.ndarray, diag=None) -> CoefficientTable:
-    """Run the two recurrences column by column over q = [0, q_1, ...].
+def _fill(order: int, band: Sequence[complex] = (), diag=None) -> CoefficientTable:
+    """Run the two recurrences column by column over q = [0, q_1, ...],
+    with q_1 ... q_order read from ``band`` and zero past it.
 
     At column a the off-diagonal relation gives rows n < a from q_1 ...
     q_{a-1}; the divisor a (a - n) is at least 1, and entries left of the
     diagonal are zero, so the sum over s = n ... a-1 is one product with
     the known block of columns < a.  The column sum then gives V[a, a] from
-    q_a, or, with ``diag`` given, q_a from V[a, a], written into q.  An
-    order below 1 is refused by `CoefficientTable`.
+    q_a, or, with ``diag`` given, q_a from V[a, a], written into q.  The
+    table is allocated before anything runs over the order, and a size
+    numpy refuses or cannot allocate is a SchemaError; an order below 1 is
+    refused by `CoefficientTable`.
     """
-    order = len(q) - 1
-    v = np.zeros((order + 1, order + 1), dtype=complex)
-    for a in range(1, order + 1):
+    size = max(order, 0) + 1
+    try:
+        v = np.zeros((size, size), dtype=complex)
+    except (ValueError, MemoryError) as exc:  # numpy refuses the size, or cannot allocate it
+        raise SchemaError(f"a table of order {order} cannot be allocated ({exc})") from exc
+    q = np.zeros(size, dtype=complex)
+    band = band[: size - 1]
+    q[1 : len(band) + 1] = band
+    for a in range(1, size):
         n = np.arange(1, a)
         v[1:a, a] = -(v[1:a, 1:a] @ q[a - 1 : 0 : -1]) / (a * (a - n))
         if diag is None:
@@ -133,12 +144,12 @@ def _fill(q: np.ndarray, diag=None) -> CoefficientTable:
 
 def build_table(potential: FourierPotential, order: int = 30) -> CoefficientTable:
     """Fill the table from the potential harmonics q_1 ... q_order."""
-    return _fill(np.array([0.0] + [potential.harmonic(n) for n in range(1, order + 1)], dtype=complex))
+    return _fill(order, potential.q)
 
 
 def table_from_diagonal(diag: Sequence[complex]) -> CoefficientTable:
     """Fill the table, and with it q_1 ... q_order, from its diagonal V[n, n]."""
-    return _fill(np.zeros(len(diag) + 1, dtype=complex), diag)
+    return _fill(len(diag), diag=diag)
 
 
 def harmonics_from_table(table: CoefficientTable) -> list:

@@ -172,6 +172,20 @@ class TestSchemas:
         assert main(["inverse", str(path)]) == 1
         assert capsys.readouterr().err == f"schema error: {message}\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["forward", "{path}"],
+        ["inverse", "{path}"],
+        ["eval", "{path}", "--lambda", "1+1i", "--x-range", "0:1:3", "--solution", "f1+"],
+    ], ids=["forward", "inverse", "eval"])
+    def test_deeply_nested_file_exits_one(self, tmp_path, capsys, argv):
+        # Python's json recurses once per nesting level and raises
+        # RecursionError, not ValueError, long before 100,000 levels
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        assert main([a.format(path=path) for a in argv] + ["--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith(f"schema error: {path}: cannot be read as JSON (")
+        assert list(tmp_path.iterdir()) == [path]
+
     def test_spectrum_report_to_dict(self):
         report = SpectrumReport(
             eigenvalues=[
@@ -205,7 +219,8 @@ class TestWriter:
         for i, obj in enumerate((data, report, cli.reconstruction_to_dict(result))):
             path = tmp_path / f"{i}.json"
             cli._write_json(path, obj)
-            text = "".join(json.JSONEncoder(ensure_ascii=True).iterencode(obj)) + "\n"
+            encoder = json.JSONEncoder(ensure_ascii=True, separators=(",", ":"))
+            text = "".join(encoder.iterencode(obj)) + "\n"
             assert path.read_bytes() == text.encode("ascii")
 
     def test_failed_encoding_leaves_no_file(self, tmp_path):
@@ -756,6 +771,21 @@ class TestArgumentChecks:
         assert capsys.readouterr().err == (
             f"numerical error: {n} pole circles need {32 * n} samples, and the file holds 194\n")
         assert not rec.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["forward", "{pot}"], ["spectrum", "{pot}"], ["inverse", "--self-test", "{pot}"],
+    ], ids=["forward", "spectrum", "self-test"])
+    def test_unallocatable_order_exits_one(self, tmp_path, capsys, argv):
+        # a table of order 10**10 has 10**20 entries, past numpy's largest
+        # array size: numpy refuses it at once, before anything runs over
+        # the order, and the refusal is not a traceback
+        pot = tmp_path / "p.json"
+        write_potential(pot, 1.0, [1.0])
+        argv = [a.format(pot=pot) for a in argv] + ["-A", str(10**10), "--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(
+            "schema error: a table of order 10000000000 cannot be allocated (")
+        assert list(tmp_path.iterdir()) == [pot]
 
     @pytest.mark.parametrize("argv, message", [
         (["eval", "{pot}", "-A", "0", "--lambda", "1", "--x-range", "0:1:3", "--solution", "f1+"],
