@@ -7,6 +7,7 @@ export-spectral-data potential.json -> spectral-data.json
 spectrum             potential.json -> spectrum-report.json
 inverse              spectral-data.json -> reconstruction.json
 eval                 potential.json -> CSV curve of one solution
+The first three run one route, `cmd_forward`, and write the products named.
 
 File formats (all JSON, floats serialised by Python's shortest round-trip
 representation, so identical inputs give byte-identical outputs; the
@@ -228,44 +229,41 @@ def reconstruction_to_dict(result) -> dict:
     }
 
 
-def _forward_products(potential: FourierPotential, order: int, n_max: int):
-    """The spectral-data and spectrum-report dicts of one forward model."""
+def _forward_model(potential: FourierPotential, order: int, n_max: int) -> AnalyticProvider:
     _require(order >= n_max >= 1, "require order >= n_max >= 1")
-    model = AnalyticProvider(potential, order, n_max)
+    return AnalyticProvider(potential, order, n_max)
+
+
+def _spectral_data(model: AnalyticProvider, order: int, n_max: int) -> dict:
+    """The spectral-data dict of a forward model: c11 and c12 on every point
+    the inverse reads."""
     points = sample_points(model.eigenvalues, n_max)
-    data = spectral_data_to_dict(model.eigenvalues, points, model.eval_c11(points),
+    return spectral_data_to_dict(model.eigenvalues, points, model.eval_c11(points),
                                  model.eval_c12(points), {"n_max": n_max, "A": order})
-    return data, spectrum_report_to_dict(model.report)
 
 
 # --- commands ---------------------------------------------------------------
 
 
 def cmd_forward(args) -> int:
-    """forward and export-spectral-data: the same products, of which
-    export-spectral-data writes only the spectral data."""
-    data, report = _forward_products(load_potential(args.input), args.order, args.nmax)
+    """forward, export-spectral-data and spectrum: one forward model, of which
+    export-spectral-data writes only the spectral data and spectrum only the
+    report."""
+    model = _forward_model(load_potential(args.input), args.order, args.nmax)
     os.makedirs(args.out, exist_ok=True)
-    _write_json(os.path.join(args.out, "spectral-data.json"), data)
-    if args.command == "forward":
-        _write_json(os.path.join(args.out, "spectrum-report.json"), report)
-    return 0
-
-
-def cmd_spectrum(args) -> int:
-    potential = load_potential(args.input)
-    _require(args.order >= args.nmax >= 1, "require order >= n_max >= 1")
-    report = AnalyticProvider(potential, args.order, args.nmax).report
-    os.makedirs(args.out, exist_ok=True)
-    _write_json(os.path.join(args.out, "spectrum-report.json"), spectrum_report_to_dict(report))
+    if args.command != "spectrum":
+        _write_json(os.path.join(args.out, "spectral-data.json"),
+                    _spectral_data(model, args.order, args.nmax))
+    if args.command != "export-spectral-data":
+        _write_json(os.path.join(args.out, "spectrum-report.json"), spectrum_report_to_dict(model.report))
     return 0
 
 
 def cmd_inverse(args) -> int:
     if args.self_test:
         potential = load_potential(args.self_test)
-        data, _report = _forward_products(potential, args.order, args.nmax)
-        provider = SampledProvider.from_dict(data)
+        model = _forward_model(potential, args.order, args.nmax)
+        provider = SampledProvider.from_dict(_spectral_data(model, args.order, args.nmax))
         result = reconstruct(provider, n_max=args.nmax)
         errs = [abs(result.beta - potential.beta) / abs(potential.beta)]
         for n in range(1, args.nmax + 1):
@@ -365,7 +363,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     command("forward", cmd_forward, "spectral data + spectrum report from a potential")
     command("export-spectral-data", cmd_forward, "spectral data only")
-    command("spectrum", cmd_spectrum, "spectrum report only")
+    command("spectrum", cmd_forward, "spectrum report only")
     p = command("inverse", cmd_inverse, "reconstruct (beta, q) from spectral data",
                 "spectral-data JSON file", "?")
     p.add_argument("--self-test", help="potential file for an in-process forward+inverse round trip")

@@ -105,10 +105,9 @@ def _weights(harmonics, order: int, k: complex, scale: float, stop: bool) -> np.
     return np.array(u[1:], dtype=complex)
 
 
-def _series(harmonics, order: int, k: complex, x, scale: float,
-            second: bool = False) -> tuple:
-    """f(x; k), its x-derivative and, with ``second``, its second
-    x-derivative, over a scalar or 1-d array x; the results are shaped like x.
+def _series(harmonics, order: int, k: complex, x, scale: float) -> tuple:
+    """f(x; k) and its first and second x-derivatives over a scalar or 1-d
+    array x; the results are shaped like x.
 
     The weights of `_weights`, stopped when every Im x >= 0, are summed as
     sum_a u_a (ia)^d e^{iax} by Horner's rule in z = e^{ix}, in place and
@@ -117,19 +116,15 @@ def _series(harmonics, order: int, k: complex, x, scale: float,
     x = np.atleast_1d(x)
     u = _weights(harmonics, order, k, scale, stop=bool(np.all(np.imag(x) >= 0)))
     ia = 1j * np.arange(1, len(u) + 1)
-    coef = np.stack([u, ia * u, ia * ia * u][: 3 if second else 2], axis=1)
     z = np.exp(1j * x)
-    acc = np.zeros((coef.shape[1],) + x.shape, dtype=complex)
-    for c in coef[::-1]:
+    acc = np.zeros((3,) + x.shape, dtype=complex)
+    for c in np.stack([u, ia * u, ia * ia * u], axis=1)[::-1]:
         np.add(acc, c[:, None], out=acc)
         np.multiply(acc, z, out=acc)
-    g, dg, *d2g = acc
+    g, dg, d2g = acc
     g = 1.0 + g
     e = np.exp(k * x)
-    derivs = [e * g, e * (k * g + dg)]
-    if second:
-        derivs.append(e * (k * k * g + 2.0 * k * dg + d2g[0]))
-    return tuple(derivs)
+    return e * g, e * (k * g + dg), e * (k * k * g + 2.0 * k * dg + d2g)
 
 
 def _sample(table: CoefficientTable, beta: float, which: str, lam, x) -> SolutionSample:
@@ -137,7 +132,7 @@ def _sample(table: CoefficientTable, beta: float, which: str, lam, x) -> Solutio
     if np.ndim(x):
         raise ValueError("x must be a scalar; eval_with_residual takes an array")
     k, scale = _exponent(which, complex(lam), beta)
-    f, df = _series(table.harmonics, table.order, k, x, scale)
+    f, df, _ = _series(table.harmonics, table.order, k, x, scale)
     return SolutionSample(complex(f[0]), complex(df[0]))
 
 
@@ -183,7 +178,7 @@ def _with_residual(potential: FourierPotential, harmonics, order: int, lam: comp
     lam = complex(lam)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     k, scale = _exponent(which, lam, potential.beta)
-    f, df, f2d = _series(harmonics, order, k, x, scale, second=True)
+    f, df, f2d = _series(harmonics, order, k, x, scale)
     rho = np.where(x >= 0, 1.0, -(potential.beta**2))
     return f, df, -f2d + potential.at(x) * f - lam * lam * rho * f
 

@@ -323,20 +323,17 @@ def secular_zeros(d: complex, p: np.ndarray, r: np.ndarray) -> tuple:
     return np.linalg.eigvals(np.diag(p[keep]) - u[keep, None]), first_order
 
 
-def rational_zeros(d: complex, p: np.ndarray, r: np.ndarray, box=None) -> list:
-    """Zeros (with multiplicity) of d + sum_j r_j/(lam - p_j), sorted by (Re, Im).
+def rational_zeros(form: scattering.RationalForm, box) -> list:
+    """Zeros (with multiplicity) of the form strictly inside box, by (Re, Im).
 
-    The `secular_zeros` within `POLISH_PAD` of the box (all of them when box
-    is None) take Newton steps with the analytic derivative until every step
-    is below `NEWTON_TOL` (1 + |lam|).  A zero is kept when it is finite, its
-    residual is at most `RESIDUAL_TOL` times the scale of the terms, and it
-    lies strictly inside the box; zeros within max(100 NEWTON_TOL, 1e-7) of
-    each other are merged and their multiplicities summed.
+    The `secular_zeros` within `POLISH_PAD` of the box take Newton steps with
+    the analytic derivative until every step is below `NEWTON_TOL` (1 +
+    |lam|).  A zero is kept when it is finite and its residual is at most
+    `RESIDUAL_TOL` times the scale of the terms; zeros within max(100
+    NEWTON_TOL, 1e-7) of each other are merged and their multiplicities summed.
     """
-    form = scattering.RationalForm(d, p, r)
-    z = np.concatenate(secular_zeros(d, p, r))
-    if box is not None:
-        z = z[_in_box(z, box, POLISH_PAD)]
+    z = np.concatenate(secular_zeros(*form))
+    z = z[_in_box(z, box, POLISH_PAD)]
     if not z.size:
         return []
     with np.errstate(all="ignore"):  # a wild iterate overflows: the filter drops it
@@ -347,9 +344,7 @@ def rational_zeros(d: complex, p: np.ndarray, r: np.ndarray, box=None) -> list:
             if not np.any(np.abs(step) > NEWTON_TOL * (1.0 + np.abs(z))):
                 break
         c, _dc, scale = form.terms(z)
-        keep = np.isfinite(z) & (np.abs(c) <= RESIDUAL_TOL * scale)
-    if box is not None:
-        keep &= _in_box(z, box)
+        keep = np.isfinite(z) & (np.abs(c) <= RESIDUAL_TOL * scale) & _in_box(z, box)
     return _merge([(complex(v), 1) for v in z[keep]], NEWTON_TOL)
 
 
@@ -368,7 +363,7 @@ def scan_spectrum(table: CoefficientTable, beta: float, n_max: int = 6) -> Spect
     eigenvalues = []
     for k, name, box in LISTED:
         form = scattering.rational_form(table, beta, name)
-        zeros = rational_zeros(*form, box=box)
+        zeros = rational_zeros(form, box)
         for (z, m), c in zip(zeros, form([z for z, _m in zeros]).tolist()):
             eigenvalues += [EigenvalueHit(z, k, m, c), EigenvalueHit(-z, (k + 2) % 4, m, c)]
     eigenvalues.sort(key=lambda h: (h.lam.real, h.lam.imag))

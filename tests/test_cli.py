@@ -204,7 +204,8 @@ class TestSchemas:
 
 class TestWriter:
     def test_bytes_match_the_python_encoder(self, tmp_path):
-        data, report = cli._forward_products(EIG_POTENTIAL, 30, 6)
+        model = cli._forward_model(EIG_POTENTIAL, 30, 6)
+        data, report = cli._spectral_data(model, 30, 6), cli.spectrum_report_to_dict(model.report)
         result = ReconstructionResult(
             beta=np.float64(1.25),
             q=[np.complex128(0.5 - 2j), complex(-0.0, 1e-300)],
@@ -231,7 +232,7 @@ class TestWriter:
 
 class TestForwardCommand:
     def test_one_forward_model_per_op(self, monkeypatch):
-        # one _forward_products call builds the table once, scans once and
+        # one forward model and its spectral data build the table once, scans once and
         # calls each coefficient once, on the whole export plan
         calls = []
 
@@ -249,7 +250,7 @@ class TestForwardCommand:
                          ("scan_spectrum", inverse_module.scan_spectrum),
                          ("coefficient_evaluators", evaluators)):
             monkeypatch.setattr(inverse_module, name, counted(name, fn))
-        data, _report = cli._forward_products(EIG_POTENTIAL, 30, 6)
+        data = cli._spectral_data(cli._forward_model(EIG_POTENTIAL, 30, 6), 30, 6)
         names = [name for name, _args in calls]
         assert sorted(names) == ["build_table", "c11", "c12", "coefficient_evaluators", "scan_spectrum"]
         plan = np.array([complex(s["re"], s["im"]) for s in data["samples"]])
@@ -759,7 +760,7 @@ class TestArgumentChecks:
     def test_n_max_beyond_the_samples_exits_two(self, tmp_path, capsys, meta_n_max, nmax):
         # EIG's 194 samples cannot hold 32 n_max pole-circle points for
         # n_max = 7: refused before any array of n_max circles is made
-        data, _report = cli._forward_products(EIG_POTENTIAL, 30, 6)
+        data = cli._spectral_data(cli._forward_model(EIG_POTENTIAL, 30, 6), 30, 6)
         if meta_n_max is None:
             del data["meta"]["n_max"]
         else:

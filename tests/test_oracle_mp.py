@@ -167,8 +167,9 @@ def test_near_axis_zeros_of_c11_are_zeros_of_the_oracle():
     # cancel in it
     beta, harmonics = 1.0, [QC.of(4, 4)]
     table = build_table(FourierPotential(beta=beta, q=(4 + 4j,)), ORDER)
-    d, p, r = rational_form(table, beta, "c11")
-    zeros = [z for z, _m in rational_zeros(d, p, r) if z.real > 0 and z.imag < 0]
+    form = rational_form(table, beta, "c11")
+    d, p, r = form
+    zeros = [z for z, _m in rational_zeros(form, (0.0, np.inf, -np.inf, 0.0))]
     near_axis = [z for z in zeros if min(z.real, -z.imag) < 0.1]
     assert len(zeros) == 7 and len(near_axis) == 5
     with mp.workdps(30):

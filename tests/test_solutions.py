@@ -389,9 +389,9 @@ class TestStop:
                 assert stopped < 120
                 assert len(_weights(p.q, 5000, k, scale, stop=True)) == stopped
                 assert len(_weights(p.q, stopped, k, scale, stop=True)) == stopped
-                f, df = _series(p.q, 120, k, x, scale)
-                f2, df2, _ = _series(p.q, 5000, k, x, scale, second=True)
-                assert np.array_equal(f, f2) and np.array_equal(df, df2)
+                f, df, d2f = _series(p.q, 120, k, x, scale)
+                f2, df2, d2f2 = _series(p.q, 5000, k, x, scale)
+                assert np.array_equal(f, f2) and np.array_equal(df, df2) and np.array_equal(d2f, d2f2)
 
     def test_complex_x_below_the_axis_runs_to_the_order(self):
         # |e^{ix}| > 1 there, so the stop's bound does not hold

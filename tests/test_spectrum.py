@@ -24,7 +24,7 @@ from spectral_sl import (
 )
 import spectral_sl.scattering as scattering_module
 import spectral_sl.spectrum as spectrum_module
-from spectral_sl.scattering import rational_form
+from spectral_sl.scattering import RationalForm, rational_form
 from spectral_sl.spectrum import (
     LISTED,
     _winding,
@@ -381,7 +381,8 @@ class TestRationalForm:
 
     def test_double_zero_is_merged(self):
         # 1 + 0.5/(lam - 3 - 2i) - 0.5/(lam - 1 - 2i) = u^2/(u^2 - 1), u = lam - 2 - 2i
-        zeros = rational_zeros(1.0, np.array([3 + 2j, 1 + 2j]), np.array([0.5, -0.5]))
+        form = RationalForm(1.0, np.array([3 + 2j, 1 + 2j]), np.array([0.5, -0.5]))
+        zeros = rational_zeros(form, (1.0, 3.0, 1.0, 3.0))
         assert len(zeros) == 1
         z, mult = zeros[0]
         assert mult == 2
