@@ -113,9 +113,14 @@ def _out_path(out: str, name: str) -> str:
 
 def _write_text(path, text: str):
     tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    fh = open(tmp, "w", encoding="utf-8")
+    try:
+        with fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:  # a failed write or rename leaves no .tmp behind
+        os.remove(tmp)
+        raise
 
 
 def _write_json(path, obj):
@@ -231,7 +236,8 @@ def reconstruction_to_dict(result) -> dict:
 
 def _forward_model(potential: FourierPotential, order: int, n_max: int) -> AnalyticProvider:
     _require(order >= n_max >= 1, "require order >= n_max >= 1")
-    return AnalyticProvider(potential, order, n_max)
+    with np.errstate(all="ignore"):  # an overflow is refused, not warned about
+        return AnalyticProvider(potential, order, n_max)
 
 
 def _spectral_data(model: AnalyticProvider, order: int, n_max: int) -> dict:
@@ -307,9 +313,12 @@ def _parse_range(text: str):
     _require(np.isfinite([lo, hi]).all(), f"--x-range bounds must be finite, not {text!r}")
     _require(count >= 1, "--x-range count must be >= 1")
     try:
-        return np.linspace(lo, hi, count)
+        with np.errstate(all="ignore"):  # a grid past the float range is refused below
+            x = np.linspace(lo, hi, count)
     except (ValueError, MemoryError) as exc:  # numpy refuses the size, or cannot allocate it
         raise SchemaError(f"--x-range count {count} cannot be allocated ({exc})") from exc
+    _require(np.isfinite(x).all(), f"--x-range {text!r} spans more than the float range")
+    return x
 
 
 def cmd_eval(args) -> int:

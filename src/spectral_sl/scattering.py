@@ -28,7 +28,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .coeffs import CoefficientTable
-from .errors import ExtrapolationDivergence, PoleProximity, ZeroWavenumber
+from .errors import ExtrapolationDivergence, PoleProximity, SpectralError, ZeroWavenumber
 from .solutions import POLE_TOL, SolutionSample, _exponent, _sample
 
 
@@ -114,6 +114,8 @@ def rational_form(table: CoefficientTable, beta: float, name: str) -> RationalFo
     g = 1.0 + s @ w
     g, dg = (v.reshape(p.shape) for v in (g, k * g + ds @ w))
     r = np.array([[1.0], [-1.0]]) * ((n * s / 2j + ds) * g - s * dg) / (-nu * n)
+    if not (np.isfinite(p).all() and np.isfinite(r).all()):
+        raise SpectralError(f"the poles or residues of {name} overflow double precision")
     return RationalForm((a - b) / nu, p.ravel(), r.ravel())
 
 

@@ -229,6 +229,29 @@ class TestWriter:
             cli._write_json(tmp_path / "t.json", {"a": [1.0] * 10, "b": object()})
         assert list(tmp_path.iterdir()) == []
 
+    def test_failed_rename_leaves_no_tmp(self, tmp_path, capsys):
+        # the reconstruction path is a directory: the write exits 3, and
+        # leaves neither a file nor a .tmp beside the directory
+        pot = tmp_path / "p.json"
+        write_potential(pot, EIG_POTENTIAL.beta, EIG_POTENTIAL.q)
+        assert main(["export-spectral-data", str(pot), "--out", str(tmp_path)]) == 0
+        (tmp_path / "d" / "reconstruction.json").mkdir(parents=True)
+        data = tmp_path / "spectral-data.json"
+        assert main(["inverse", str(data), "--out", str(tmp_path / "d" / "reconstruction.json")]) == 3
+        assert capsys.readouterr().err.startswith("i/o error: ")
+        assert [f.name for f in (tmp_path / "d").iterdir()] == ["reconstruction.json"]
+
+    def test_failed_report_write_leaves_no_tmp(self, tmp_path, capsys):
+        # forward writes its spectral data, then cannot replace the report
+        # directory: exit 3, with no spectrum-report.json.tmp left
+        pot = tmp_path / "p.json"
+        write_potential(pot, EIG_POTENTIAL.beta, EIG_POTENTIAL.q)
+        (tmp_path / "out" / "spectrum-report.json").mkdir(parents=True)
+        assert main(["forward", str(pot), "--out", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err.startswith("i/o error: ")
+        assert sorted(f.name for f in (tmp_path / "out").iterdir()) == [
+            "spectral-data.json", "spectrum-report.json"]
+
 
 class TestForwardCommand:
     def test_one_forward_model_per_op(self, monkeypatch):
@@ -690,6 +713,18 @@ class TestEvalCommand:
         assert "must be finite" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [pot]
 
+    def test_overflowing_span_exits_one(self, tmp_path, capsys):
+        # hi - lo is past the float range, so the grid is not finite
+        pot = tmp_path / "p.json"
+        write_potential(pot, 1.0, [1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["eval", str(pot), "--lambda", "1+1i", "--x-range=-1e308:1e308:3",
+                       "--solution", "f1+", "--out", str(tmp_path / "c.csv")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("schema error: --x-range ")
+        assert list(tmp_path.iterdir()) == [pot]
+
     @pytest.mark.parametrize("count", [10**20, 10**17])
     def test_unallocatable_count_exits_one(self, tmp_path, capsys, count):
         # 10**20 points exceed numpy's largest array size and 10**17 float64s
@@ -772,6 +807,24 @@ class TestArgumentChecks:
         assert capsys.readouterr().err == (
             f"numerical error: {n} pole circles need {32 * n} samples, and the file holds 194\n")
         assert not rec.exists()
+
+    @pytest.mark.parametrize("beta, q", [(1.0, [3e7]), (1e-320, [4.0 + 4.0j])],
+                             ids=["q1-3e7", "beta-1e-320"])
+    @pytest.mark.parametrize("argv", [
+        ["forward", "{pot}"], ["spectrum", "{pot}"], ["export-spectral-data", "{pot}"],
+        ["inverse", "--self-test", "{pot}"],
+    ], ids=["forward", "spectrum", "export", "self-test"])
+    def test_overflowing_model_exits_two(self, tmp_path, capsys, argv, beta, q):
+        # the residues (and, for a subnormal beta, the poles) of the rational
+        # forms are not finite: refused, with no warning and no product
+        pot = tmp_path / "p.json"
+        write_potential(pot, beta, q)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main([a.format(pot=pot) for a in argv] + ["--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("numerical error: ")
+        assert list(tmp_path.iterdir()) == [pot]
 
     @pytest.mark.parametrize("argv", [
         ["forward", "{pot}"], ["spectrum", "{pot}"], ["inverse", "--self-test", "{pot}"],
