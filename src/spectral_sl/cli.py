@@ -8,6 +8,8 @@ spectrum             potential.json -> spectrum-report.json
 inverse              spectral-data.json -> reconstruction.json
 eval                 potential.json -> CSV curve of one solution
 The first three run one route, `cmd_forward`, and write the products named.
+`inverse --self-test potential.json` takes no file: it runs the inverse of a
+file on its forward model's spectral data and compares with the potential.
 
 File formats (all JSON, floats serialised by Python's shortest round-trip
 representation, so identical inputs give byte-identical outputs; the
@@ -33,7 +35,8 @@ reconstruction.json   {"beta": <float>, "q": [[re, im], ...],
 Exit codes: 0 success, 1 schema error, 2 numerical error, 3 I/O error.  A
 usage error is a schema error.  Each command checks only the options it
 reads: order >= n_max >= 1 where the spectrum is scanned, n_max >= 1 for
-the inverse of a file (whose meta.n_max wins), order >= 1 for eval.
+the inverse of a file (whose meta.n_max wins), order >= 1 for eval.  An
+overflow is refused as a numerical error; no command warns.
 """
 
 from __future__ import annotations
@@ -141,17 +144,14 @@ def load_potential(path) -> FourierPotential:
         raise SchemaError(str(exc)) from exc
 
 
+def _eigenvalue_record(lam: complex, sector, mult) -> dict:
+    """An eigenvalue as both products write it."""
+    return {"re": lam.real, "im": lam.imag, "sector": int(sector), "multiplicity": int(mult)}
+
+
 def spectral_data_to_dict(eigenvalues, points, c11, c12, meta) -> dict:
     return {
-        "eigenvalues": [
-            {
-                "re": lam.real,
-                "im": lam.imag,
-                "sector": int(sector),
-                "multiplicity": int(mult),
-            }
-            for lam, sector, mult in eigenvalues
-        ],
+        "eigenvalues": [_eigenvalue_record(*e) for e in eigenvalues],
         "samples": [
             {
                 "re": p.real,
@@ -206,16 +206,8 @@ def load_spectral_data(path) -> dict:
 def spectrum_report_to_dict(report: SpectrumReport) -> dict:
     return {
         "eigenvalues": [
-            {
-                "re": h.lam.real,
-                "im": h.lam.imag,
-                "sector": h.sector,
-                "multiplicity": h.multiplicity,
-                "coefficient_value": [
-                    h.coefficient_value.real,
-                    h.coefficient_value.imag,
-                ],
-            }
+            {**_eigenvalue_record(h.lam, h.sector, h.multiplicity),
+             "coefficient_value": [h.coefficient_value.real, h.coefficient_value.imag]}
             for h in report.eigenvalues
         ],
         "singularities": [
@@ -266,31 +258,36 @@ def cmd_forward(args) -> int:
 
 
 def cmd_inverse(args) -> int:
+    """The inverse of a data file, or with --self-test of a potential's
+    forward model: one route from the provider on, which for a file ends in
+    reconstruction.json and for the self-test in a comparison with q."""
+    _require(not (args.input and args.self_test), "inverse takes a data file or --self-test, not both")
     if args.self_test:
         potential = load_potential(args.self_test)
         model = _forward_model(potential, args.order, args.nmax)
         provider = SampledProvider.from_dict(_spectral_data(model, args.order, args.nmax))
-        result = reconstruct(provider, n_max=args.nmax)
-        errs = [abs(result.beta - potential.beta) / abs(potential.beta)]
-        for n in range(1, args.nmax + 1):
-            truth = potential.harmonic(n)
-            got = result.q[n - 1]
-            errs.append(abs(got - truth) / max(1.0, abs(truth)))
-        worst = float(np.max(errs))  # NaN propagates and fails the test
-        print(f"self-test max relative error: {worst:.3e}")
-        if not worst <= SELF_TEST_TOL:
-            print(f"self-test error above {SELF_TEST_TOL:.0e}", file=sys.stderr)
-            return 2
-        return 0
-    _require(args.input, "inverse needs a data file or --self-test")
-    _require(args.nmax >= 1, "require n_max >= 1")
-    provider = sampled_provider(args.input)
-    n_max = provider.meta.get("n_max", args.nmax)  # validated by the loader
+    else:
+        _require(args.input, "inverse needs a data file or --self-test")
+        _require(args.nmax >= 1, "require n_max >= 1")
+        provider = sampled_provider(args.input)
+    n_max = provider.meta.get("n_max", args.nmax)  # validated by the loader or the model
     if POLE_CIRCLE_POINTS * n_max > provider.sample_count:  # before n_max sizes any array
         raise InsufficientSamples(f"{n_max} pole circles need {POLE_CIRCLE_POINTS * n_max} "
                                   f"samples, and the file holds {provider.sample_count}")
-    result = reconstruct(provider, n_max)
-    _write_json(_out_path(args.out, "reconstruction.json"), reconstruction_to_dict(result))
+    with np.errstate(all="ignore"):  # an overflow is refused, not warned about
+        result = reconstruct(provider, n_max)
+    if not args.self_test:
+        _write_json(_out_path(args.out, "reconstruction.json"), reconstruction_to_dict(result))
+        return 0
+    errs = [abs(result.beta - potential.beta) / abs(potential.beta)]
+    for n in range(1, n_max + 1):
+        truth = potential.harmonic(n)
+        errs.append(abs(result.q[n - 1] - truth) / max(1.0, abs(truth)))
+    worst = float(np.max(errs))  # NaN propagates and fails the test
+    print(f"self-test max relative error: {worst:.3e}")
+    if not worst <= SELF_TEST_TOL:
+        print(f"self-test error above {SELF_TEST_TOL:.0e}", file=sys.stderr)
+        return 2
     return 0
 
 
@@ -375,7 +372,8 @@ def _build_parser() -> argparse.ArgumentParser:
     command("spectrum", cmd_forward, "spectrum report only")
     p = command("inverse", cmd_inverse, "reconstruct (beta, q) from spectral data",
                 "spectral-data JSON file", "?")
-    p.add_argument("--self-test", help="potential file for an in-process forward+inverse round trip")
+    p.add_argument("--self-test", help="potential file for an in-process forward+inverse round trip; "
+                   "takes no data file")
     p = command("eval", cmd_eval, "sample one solution on an x grid as CSV")
     p.add_argument("--lambda", dest="lam", required=True, help="spectral parameter, e.g. 1+2i")
     p.add_argument("--x-range", required=True, help="lo:hi:count")

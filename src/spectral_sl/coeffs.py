@@ -16,17 +16,12 @@ in this module depends on the spectral parameter.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import SchemaError
-
-
-class TruncationWarning(UserWarning):
-    """Weighted-norm column contributions stopped decreasing."""
 
 
 @dataclass(frozen=True)
@@ -179,25 +174,20 @@ def recurrence_residuals(table: CoefficientTable, harmonics: Sequence[complex]) 
     return r_offdiag, r_colsum
 
 
-def tail_report(table: CoefficientTable, warn: bool = True) -> TailReport:
+def tail_report(table: CoefficientTable) -> TailReport:
     """Weighted norm plus a geometric projection of the dropped columns.
 
-    The projection takes the decay ratio of the final columns; when the
-    column contributions fail to decrease over the last five columns the
-    estimate is reported as non-converged (a warning, never an error: the
-    recursion itself is always well defined).
+    The projection takes the decay ratio of the final columns.  When the
+    column contributions fail to decrease over the last five columns, the
+    report says so: ``converged`` is False and ``tail_estimate`` inf.  It
+    neither warns nor raises, since the recursion itself is always well
+    defined.
     """
     idx = np.arange(1, table.order + 1, dtype=float)
     contrib = (np.abs(table.entries) / idx[:, None]).sum(axis=0) * idx  # a sum_n |V[n, a]| / n
     stored = float(contrib.sum())
     window = contrib[-5:]
     if not np.all((window[1:] < window[:-1]) | (window[1:] == 0.0)):
-        if warn:
-            warnings.warn(
-                "column contributions are not decreasing; raise the order",
-                TruncationWarning,
-                stacklevel=2,
-            )
         return TailReport(stored=stored, tail_estimate=math.inf, converged=False)
     last = float(contrib[-1])
     if contrib.size < 2 or last == 0.0:

@@ -23,17 +23,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .coeffs import (
-    FourierPotential,
-    build_table,
-    harmonics_from_table,
-    table_from_diagonal,
-)
-from .errors import (
-    InsufficientSamples,
-    NoData,
-    NonRealBeta,
-)
+from .coeffs import FourierPotential, build_table, harmonics_from_table, table_from_diagonal
+from .errors import InsufficientSamples, NoData, NonRealBeta, SpectralError
 from .scattering import coefficient_evaluators, pole_circle, pole_strengths, richardson_limit
 from .spectrum import scan_spectrum
 
@@ -201,16 +192,17 @@ def reconstruct(provider, n_max: int) -> ReconstructionResult:
     """Full recovery (beta, q_1 ... q_n_max) with per-step diagnostics.
 
     The rebuilt table is of size n_max, which is all the first n_max
-    harmonics require.
+    harmonics require.  A beta that `recover_beta` refuses, or a harmonic
+    that is not finite, raises a SpectralError.
     """
     diag, flags = recover_diagonal(provider, n_max)
     table = table_from_diagonal(diag)
     q = harmonics_from_table(table)
     beta = recover_beta(provider)
+    bad = np.flatnonzero(~np.isfinite(q))
+    if bad.size:  # pole strengths whose table overflows
+        raise SpectralError(f"the rebuilt harmonic q_{bad[0] + 1} is not finite")
     # no recurrence residual: the fill solved both relations, so it would
     # read the fill's rounding, never the data
-    diagnostics = {
-        "stable_harmonics": flags,
-        "eigenvalue_count": len(provider.eigenvalues),
-    }
+    diagnostics = {"stable_harmonics": flags, "eigenvalue_count": len(provider.eigenvalues)}
     return ReconstructionResult(beta=beta, q=q, diagnostics=diagnostics)

@@ -503,6 +503,63 @@ class TestInverseCommand:
         assert capsys.readouterr().err == f"numerical error: no sample at {lost}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("route", ["file", "self-test"])
+    def test_overflowing_beta_exits_two_without_warning(self, tmp_path, capsys, route):
+        # beta = 1e300 gives finite samples (c11 up to 3e284), but the beta
+        # products i c11(lam) c11(-lam) overflow: refused, not warned about
+        pot = tmp_path / "p.json"
+        pot.write_text('{"beta": 1e300, "q": [[4, 4]]}')
+        assert main(["forward", str(pot), "--out", str(tmp_path)]) == 0
+        rec = tmp_path / "reconstruction.json"
+        source = [str(tmp_path / "spectral-data.json")] if route == "file" else ["--self-test", str(pot)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["inverse", *source, "--out", str(rec)]) == 2
+        assert capsys.readouterr().err.startswith("numerical error: recovered beta ")
+        assert not rec.exists()
+
+    def test_overflowing_pole_strengths_exit_two(self, tmp_path, capsys):
+        # c11 scaled by 1e200 on every pole circle is schema-valid, but the
+        # table rebuilt from its pole strengths overflows past q_1
+        pot = tmp_path / "p.json"
+        write_potential(pot, 1.0, [1.0])
+        assert main(["export-spectral-data", str(pot), "--out", str(tmp_path)]) == 0
+        path = tmp_path / "spectral-data.json"
+        data = json.loads(path.read_text())
+        for s in data["samples"][: 32 * 6]:
+            s["c11"] = [1e200 * v for v in s["c11"]]
+        path.write_text(json.dumps(data))
+        rec = tmp_path / "reconstruction.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["inverse", str(path), "--out", str(rec)]) == 2
+        assert capsys.readouterr().err == "numerical error: the rebuilt harmonic q_2 is not finite\n"
+        assert not rec.exists()
+
+    def test_file_and_self_test_take_one_route(self, tmp_path, monkeypatch):
+        # both feed reconstruct the same provider and n_max, under the same
+        # overflow guard
+        real, calls = cli.reconstruct, []
+
+        def record(provider, n_max):
+            calls.append((provider, n_max, np.geterr()))
+            return real(provider, n_max)
+
+        monkeypatch.setattr(cli, "reconstruct", record)
+        pot = tmp_path / "p.json"
+        write_potential(pot, EIG_POTENTIAL.beta, EIG_POTENTIAL.q)
+        assert main(["forward", str(pot), "--out", str(tmp_path)]) == 0
+        assert main(["inverse", str(tmp_path / "spectral-data.json"), "--out", str(tmp_path)]) == 0
+        assert main(["inverse", "--self-test", str(pot)]) == 0
+        (file_run, file_n, file_err), (test_run, test_n, test_err) = calls
+        assert file_run._index == test_run._index  # the points, in sample order
+        assert np.array_equal(file_run._c11, test_run._c11)
+        assert np.array_equal(file_run._c12, test_run._c12)
+        assert file_run.eigenvalues == test_run.eigenvalues and len(file_run.eigenvalues) == 6
+        assert file_n == test_n == 6
+        assert file_err == test_err == {"divide": "ignore", "over": "ignore", "under": "ignore",
+                                        "invalid": "ignore"}
+
     def test_malformed_file_exits_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"nope": []}')
@@ -789,6 +846,18 @@ class TestArgumentChecks:
         rec = tmp_path / "reconstruction.json"
         assert main(["inverse", str(tmp_path / "spectral-data.json"), "--nmax", "40", "--out", str(rec)]) == 0
         assert len(json.loads(rec.read_text())["q"]) == 3
+
+    def test_inverse_of_a_file_with_self_test_exits_one(self, tmp_path, capsys):
+        # --self-test reads no data file and writes no --out: both is a usage error
+        pot = tmp_path / "p.json"
+        write_potential(pot, 1.0, [1.0])
+        assert main(["export-spectral-data", str(pot), "--out", str(tmp_path)]) == 0
+        data, rec = tmp_path / "spectral-data.json", tmp_path / "r.json"
+        assert main(["inverse", str(data), "--self-test", str(pot), "--out", str(rec)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "schema error: inverse takes a data file or --self-test, not both\n"
+        assert captured.out == ""
+        assert sorted(tmp_path.iterdir()) == [pot, data]
 
     @pytest.mark.parametrize("meta_n_max, nmax", [(10**15, 6), (7, 6), (None, 10**15)],
                              ids=["meta-huge", "meta-seven", "flag-huge"])

@@ -1,13 +1,13 @@
 """Coefficient-table construction, inversion and diagnostics."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from spectral_sl import (
     FourierPotential,
-    TruncationWarning,
     build_table,
     harmonics_from_table,
     recurrence_residuals,
@@ -205,18 +205,19 @@ class TestTailWeight:
 
     def test_single_harmonic_stored_value(self):
         t = build_table(FourierPotential(beta=1.0, q=(1.0,)), 3)
-        assert abs(tail_report(t, warn=False).stored - 37.0 / 12.0) < 1e-14
+        assert abs(tail_report(t).stored - 37.0 / 12.0) < 1e-14
 
     def test_monotone_and_convergent_in_order(self):
         rng = np.random.default_rng(31)
         p = random_potential(rng, max_harmonics=3)
-        values = [tail_report(build_table(p, a), warn=False).stored for a in (5, 10, 20, 30)]
+        values = [tail_report(build_table(p, a)).stored for a in (5, 10, 20, 30)]
         assert all(values[i + 1] >= values[i] for i in range(3))
         assert values[3] - values[2] < 1e-9 * max(1.0, values[3])
 
-    def test_nonconvergence_is_a_warning(self):
+    def test_nonconvergence_is_reported(self):
         t = build_table(FourierPotential(beta=1.0, q=(30.0,)), 6)
-        with pytest.warns(TruncationWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # reported, not warned about
             rep = tail_report(t)
         assert not rep.converged
         assert rep.tail_estimate == math.inf

@@ -13,6 +13,7 @@ from spectral_sl import (
     NoData,
     NonRealBeta,
     SampledProvider,
+    SpectralError,
     pole_strength,
     recover_beta,
     recover_diagonal,
@@ -222,6 +223,18 @@ class TestReconstructAnalytic:
         diag, _flags = recover_diagonal(prov, 4)
         q = reconstruct(prov, n_max=4).q
         assert recurrence_residuals(table_from_diagonal(diag), q)[0] < 1e-9
+
+    def test_non_finite_harmonic_raises(self):
+        # c11 scaled by 1e200 on the pole circles: q_1 is 1e200, and the
+        # table rebuilt from it overflows at q_2
+        p = FourierPotential(beta=1.0, q=(1.0,))
+        prov = AnalyticProvider(p, 30)
+        pts = sample_points(prov.eigenvalues, 3)
+        c11 = prov.eval_c11(pts)
+        c11[: 32 * 3] *= 1e200
+        sampled = SampledProvider(pts, c11, prov.eval_c12(pts), prov.eigenvalues)
+        with np.errstate(all="ignore"), pytest.raises(SpectralError, match="harmonic q_2 is not finite"):
+            reconstruct(sampled, n_max=3)
 
     def test_conjugate_data_differs_for_asymmetric_potential(self):
         # conjugate-reflected data is genuinely different data: the recovered
