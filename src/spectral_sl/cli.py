@@ -8,8 +8,9 @@ spectrum             potential.json -> spectrum-report.json
 inverse              spectral-data.json -> reconstruction.json
 eval                 potential.json -> CSV curve of one solution
 The first three run one route, `cmd_forward`, and write the products named.
-`inverse --self-test potential.json` takes no file: it runs the inverse of a
-file on its forward model's spectral data and compares with the potential.
+`inverse --self-test potential.json` reads no data file and writes none: it
+runs the inverse of a file on its forward model's spectral data and
+compares with the potential.
 
 File formats (all JSON, floats serialised by Python's shortest round-trip
 representation, so identical inputs give byte-identical outputs; the
@@ -32,11 +33,11 @@ reconstruction.json   {"beta": <float>, "q": [[re, im], ...],
                        "diagnostics": {"stable_harmonics": [bool, ...],
                                        "eigenvalue_count": <int>}}
 
-Exit codes: 0 success, 1 schema error, 2 numerical error, 3 I/O error.  A
-usage error is a schema error.  Each command checks only the options it
-reads: order >= n_max >= 1 where the spectrum is scanned, n_max >= 1 for
-the inverse of a file (whose meta.n_max wins), order >= 1 for eval.  An
-overflow is refused as a numerical error; no command warns.
+Exit codes: 0 success, 1 schema error, 2 numerical error, 3 I/O error; a
+usage error, such as --out with --self-test, is a schema error.  The
+library checks order >= n_max >= 1 (`AnalyticProvider`) and refuses an
+overflow without a warning; this module checks n_max >= 1 for the inverse
+of a file (whose meta.n_max wins) and order >= 1 for eval.
 """
 
 from __future__ import annotations
@@ -127,8 +128,9 @@ def _write_text(path, text: str):
 
 
 def _write_json(path, obj):
-    # the C encoder, unlike dump; a failed encoding leaves no .tmp behind
-    _write_text(path, json.dumps(obj, ensure_ascii=True, separators=(",", ":")) + "\n")
+    # the C encoder, unlike dump, with no cycle check: the products are trees the
+    # program has just built; a failed encoding leaves no .tmp behind
+    _write_text(path, json.dumps(obj, ensure_ascii=True, separators=(",", ":"), check_circular=False) + "\n")
 
 
 def load_potential(path) -> FourierPotential:
@@ -152,15 +154,8 @@ def _eigenvalue_record(lam: complex, sector, mult) -> dict:
 def spectral_data_to_dict(eigenvalues, points, c11, c12, meta) -> dict:
     return {
         "eigenvalues": [_eigenvalue_record(*e) for e in eigenvalues],
-        "samples": [
-            {
-                "re": p.real,
-                "im": p.imag,
-                "c11": [a.real, a.imag],
-                "c12": [b.real, b.imag],
-            }
-            for p, a, b in zip(points.tolist(), c11.tolist(), c12.tolist())  # Python floats
-        ],
+        "samples": [{"re": p.real, "im": p.imag, "c11": [a.real, a.imag], "c12": [b.real, b.imag]}
+                    for p, a, b in zip(points.tolist(), c11.tolist(), c12.tolist())],  # Python floats
         "meta": meta,
     }
 
@@ -226,12 +221,6 @@ def reconstruction_to_dict(result) -> dict:
     }
 
 
-def _forward_model(potential: FourierPotential, order: int, n_max: int) -> AnalyticProvider:
-    _require(order >= n_max >= 1, "require order >= n_max >= 1")
-    with np.errstate(all="ignore"):  # an overflow is refused, not warned about
-        return AnalyticProvider(potential, order, n_max)
-
-
 def _spectral_data(model: AnalyticProvider, order: int, n_max: int) -> dict:
     """The spectral-data dict of a forward model: c11 and c12 on every point
     the inverse reads."""
@@ -247,7 +236,7 @@ def cmd_forward(args) -> int:
     """forward, export-spectral-data and spectrum: one forward model, of which
     export-spectral-data writes only the spectral data and spectrum only the
     report."""
-    model = _forward_model(load_potential(args.input), args.order, args.nmax)
+    model = AnalyticProvider(load_potential(args.input), args.order, args.nmax)
     os.makedirs(args.out, exist_ok=True)
     if args.command != "spectrum":
         _write_json(os.path.join(args.out, "spectral-data.json"),
@@ -263,8 +252,9 @@ def cmd_inverse(args) -> int:
     reconstruction.json and for the self-test in a comparison with q."""
     _require(not (args.input and args.self_test), "inverse takes a data file or --self-test, not both")
     if args.self_test:
+        _require(args.out is None, "inverse --self-test writes no file and takes no --out")
         potential = load_potential(args.self_test)
-        model = _forward_model(potential, args.order, args.nmax)
+        model = AnalyticProvider(potential, args.order, args.nmax)
         provider = SampledProvider.from_dict(_spectral_data(model, args.order, args.nmax))
     else:
         _require(args.input, "inverse needs a data file or --self-test")
@@ -274,10 +264,9 @@ def cmd_inverse(args) -> int:
     if POLE_CIRCLE_POINTS * n_max > provider.sample_count:  # before n_max sizes any array
         raise InsufficientSamples(f"{n_max} pole circles need {POLE_CIRCLE_POINTS * n_max} "
                                   f"samples, and the file holds {provider.sample_count}")
-    with np.errstate(all="ignore"):  # an overflow is refused, not warned about
-        result = reconstruct(provider, n_max)
+    result = reconstruct(provider, n_max)
     if not args.self_test:
-        _write_json(_out_path(args.out, "reconstruction.json"), reconstruction_to_dict(result))
+        _write_json(_out_path(args.out or ".", "reconstruction.json"), reconstruction_to_dict(result))
         return 0
     errs = [abs(result.beta - potential.beta) / abs(potential.beta)]
     for n in range(1, n_max + 1):
@@ -322,16 +311,12 @@ def cmd_eval(args) -> int:
     _require(args.order >= 1, "require order >= 1")
     lam, x_range = _parse_lambda(args.lam), _parse_range(args.x_range)
     potential = load_potential(args.input)
-    with np.errstate(all="ignore"):  # an overflow is refused, not warned about
-        f, df, res = eval_with_residual(potential, args.order, lam, x_range, args.solution)
-        if not all(np.isfinite(v).all() for v in (f, df, np.abs(res))):
-            raise SpectralError(f"{args.solution} overflows double precision on {args.x_range}")
-    out = _out_path(args.out, "solution.csv")
+    f, df, res = eval_with_residual(potential, args.order, lam, x_range, args.solution)
     lines = ["x,re,im,d_re,d_im,ode_residual_abs"]
     # Python abs per row: the residual column must not depend on the grid
     for x, v, d, r in zip(x_range.tolist(), f.tolist(), df.tolist(), res.tolist()):
         lines.append(f"{x!r},{v.real!r},{v.imag!r},{d.real!r},{d.imag!r},{abs(r)!r}")
-    _write_text(out, "\n".join(lines) + "\n")
+    _write_text(_out_path(args.out, "solution.csv"), "\n".join(lines) + "\n")
     return 0
 
 
@@ -364,7 +349,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if name != "eval":  # eval samples one solution and has no harmonics to count
             p.add_argument("--nmax", type=int, default=6,
                            help="number of recovered harmonics / singular points")
-        p.add_argument("--out", default=".", help="output directory or file")
+        p.add_argument("--out", default=None if name == "inverse" else ".", help="output directory or file")
         return p
 
     command("forward", cmd_forward, "spectral data + spectrum report from a potential")
@@ -373,7 +358,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = command("inverse", cmd_inverse, "reconstruct (beta, q) from spectral data",
                 "spectral-data JSON file", "?")
     p.add_argument("--self-test", help="potential file for an in-process forward+inverse round trip; "
-                   "takes no data file")
+                   "takes no data file and no --out")
     p = command("eval", cmd_eval, "sample one solution on an x grid as CSV")
     p.add_argument("--lambda", dest="lam", required=True, help="spectral parameter, e.g. 1+2i")
     p.add_argument("--x-range", required=True, help="lo:hi:count")

@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .coeffs import FourierPotential, build_table, harmonics_from_table, table_from_diagonal
-from .errors import InsufficientSamples, NoData, NonRealBeta, SpectralError
+from .errors import InsufficientSamples, NoData, NonRealBeta, SchemaError, SpectralError
 from .scattering import coefficient_evaluators, pole_circle, pole_strengths, richardson_limit
 from .spectrum import scan_spectrum
 
@@ -47,13 +47,18 @@ class ReconstructionResult:
 class AnalyticProvider:
     """The forward model of a potential, built at once: its table, the
     `scan_spectrum` report with singular points up to n_max, the eigenvalue
-    (lam, sector, multiplicity) triples and the c11, c12 rational forms."""
+    (lam, sector, multiplicity) triples and the c11, c12 rational forms.
+    Raises SchemaError unless order >= n_max >= 1, and a SpectralError, with
+    no numpy warning, where the poles or residues overflow."""
 
     def __init__(self, potential: FourierPotential, order: int = 30, n_max: int = 6):
-        self.table = build_table(potential, order)
-        self.report = scan_spectrum(self.table, potential.beta, n_max)
+        if not order >= n_max >= 1:
+            raise SchemaError("require order >= n_max >= 1")
+        with np.errstate(all="ignore"):  # an overflow is refused, not warned about
+            self.table = build_table(potential, order)
+            self.report = scan_spectrum(self.table, potential.beta, n_max)
+            self.eval_c11, self.eval_c12 = coefficient_evaluators(self.table, potential.beta)
         self.eigenvalues = [(h.lam, h.sector, h.multiplicity) for h in self.report.eigenvalues]
-        self.eval_c11, self.eval_c12 = coefficient_evaluators(self.table, potential.beta)
 
 
 class SampledProvider:
@@ -193,16 +198,14 @@ def reconstruct(provider, n_max: int) -> ReconstructionResult:
 
     The rebuilt table is of size n_max, which is all the first n_max
     harmonics require.  A beta that `recover_beta` refuses, or a harmonic
-    that is not finite, raises a SpectralError.
+    that is not finite, raises a SpectralError, with no numpy warning.
     """
-    diag, flags = recover_diagonal(provider, n_max)
-    table = table_from_diagonal(diag)
-    q = harmonics_from_table(table)
-    beta = recover_beta(provider)
+    with np.errstate(all="ignore"):  # an overflow is refused, not warned about
+        diag, flags = recover_diagonal(provider, n_max)
+        q = harmonics_from_table(table_from_diagonal(diag))
+        beta = recover_beta(provider)
     bad = np.flatnonzero(~np.isfinite(q))
     if bad.size:  # pole strengths whose table overflows
         raise SpectralError(f"the rebuilt harmonic q_{bad[0] + 1} is not finite")
-    # no recurrence residual: the fill solved both relations, so it would
-    # read the fill's rounding, never the data
     diagnostics = {"stable_harmonics": flags, "eigenvalue_count": len(provider.eigenvalues)}
     return ReconstructionResult(beta=beta, q=q, diagnostics=diagnostics)

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coeffs import CoefficientTable, FourierPotential
-from .errors import PoleProximity
+from .errors import PoleProximity, SpectralError
 
 #: Distance (in the lambda plane) under which generic series evaluation is
 #: refused and the caller must use the scaled limit `eval_fn_limit`.
@@ -188,9 +188,15 @@ def eval_with_residual(potential: FourierPotential, order: int, lam: complex, x,
     """Value, slope and ODE residual of one branch over the real array x,
     from one series pass of the potential's harmonics to ``order``; no table
     is built.  Each point has the bits of `eval_f1` / `eval_f2` and
-    `ode_residual` on `build_table(potential, order)` at that x alone.
+    `ode_residual` on `build_table(potential, order)` at that x alone.  A
+    value past the float range raises SpectralError, with no numpy warning.
     """
-    return _with_residual(potential, potential.q[:order], order, lam, x, which)
+    with np.errstate(all="ignore"):  # an overflow is refused, not warned about
+        f, df, res = _with_residual(potential, potential.q[:order], order, lam, x, which)
+        if not all(np.isfinite(v).all() for v in (f, df, np.abs(res))):
+            lo, hi = float(np.min(x)), float(np.max(x))
+            raise SpectralError(f"{which} overflows double precision on [{lo!r}, {hi!r}]")
+    return f, df, res
 
 
 def ode_residual(potential: FourierPotential, table: CoefficientTable, lam: complex, x: float,

@@ -204,7 +204,7 @@ class TestSchemas:
 
 class TestWriter:
     def test_bytes_match_the_python_encoder(self, tmp_path):
-        model = cli._forward_model(EIG_POTENTIAL, 30, 6)
+        model = cli.AnalyticProvider(EIG_POTENTIAL, 30, 6)
         data, report = cli._spectral_data(model, 30, 6), cli.spectrum_report_to_dict(model.report)
         result = ReconstructionResult(
             beta=np.float64(1.25),
@@ -273,7 +273,7 @@ class TestForwardCommand:
                          ("scan_spectrum", inverse_module.scan_spectrum),
                          ("coefficient_evaluators", evaluators)):
             monkeypatch.setattr(inverse_module, name, counted(name, fn))
-        data = cli._spectral_data(cli._forward_model(EIG_POTENTIAL, 30, 6), 30, 6)
+        data = cli._spectral_data(cli.AnalyticProvider(EIG_POTENTIAL, 30, 6), 30, 6)
         names = [name for name, _args in calls]
         assert sorted(names) == ["build_table", "c11", "c12", "coefficient_evaluators", "scan_spectrum"]
         plan = np.array([complex(s["re"], s["im"]) for s in data["samples"]])
@@ -510,11 +510,12 @@ class TestInverseCommand:
         pot = tmp_path / "p.json"
         pot.write_text('{"beta": 1e300, "q": [[4, 4]]}')
         assert main(["forward", str(pot), "--out", str(tmp_path)]) == 0
-        rec = tmp_path / "reconstruction.json"
-        source = [str(tmp_path / "spectral-data.json")] if route == "file" else ["--self-test", str(pot)]
+        rec = tmp_path / "reconstruction.json"  # the self-test takes no --out
+        source = ([str(tmp_path / "spectral-data.json"), "--out", str(rec)] if route == "file"
+                  else ["--self-test", str(pot)])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert main(["inverse", *source, "--out", str(rec)]) == 2
+            assert main(["inverse", *source]) == 2
         assert capsys.readouterr().err.startswith("numerical error: recovered beta ")
         assert not rec.exists()
 
@@ -537,12 +538,11 @@ class TestInverseCommand:
         assert not rec.exists()
 
     def test_file_and_self_test_take_one_route(self, tmp_path, monkeypatch):
-        # both feed reconstruct the same provider and n_max, under the same
-        # overflow guard
+        # both feed reconstruct the same provider and n_max
         real, calls = cli.reconstruct, []
 
         def record(provider, n_max):
-            calls.append((provider, n_max, np.geterr()))
+            calls.append((provider, n_max))
             return real(provider, n_max)
 
         monkeypatch.setattr(cli, "reconstruct", record)
@@ -551,14 +551,12 @@ class TestInverseCommand:
         assert main(["forward", str(pot), "--out", str(tmp_path)]) == 0
         assert main(["inverse", str(tmp_path / "spectral-data.json"), "--out", str(tmp_path)]) == 0
         assert main(["inverse", "--self-test", str(pot)]) == 0
-        (file_run, file_n, file_err), (test_run, test_n, test_err) = calls
+        (file_run, file_n), (test_run, test_n) = calls
         assert file_run._index == test_run._index  # the points, in sample order
         assert np.array_equal(file_run._c11, test_run._c11)
         assert np.array_equal(file_run._c12, test_run._c12)
         assert file_run.eigenvalues == test_run.eigenvalues and len(file_run.eigenvalues) == 6
         assert file_n == test_n == 6
-        assert file_err == test_err == {"divide": "ignore", "over": "ignore", "under": "ignore",
-                                        "invalid": "ignore"}
 
     def test_malformed_file_exits_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -807,6 +805,11 @@ class TestSpectrumCommand:
         assert len(report["singularities"]) == 8
 
 
+def _out_unless_self_test(argv, tmp_path):
+    """--out into tmp_path/out, which the self-test, writing nothing, refuses."""
+    return [] if "--self-test" in argv else ["--out", str(tmp_path / "out")]
+
+
 class TestArgumentChecks:
     """Usage errors exit 1, and each command checks only the options it reads."""
 
@@ -859,12 +862,24 @@ class TestArgumentChecks:
         assert captured.out == ""
         assert sorted(tmp_path.iterdir()) == [pot, data]
 
+    @pytest.mark.parametrize("out", ["r.json", "."])
+    def test_self_test_with_out_exits_one(self, tmp_path, capsys, monkeypatch, out):
+        # the self-test writes nothing, so any --out, even the default's ., is refused
+        monkeypatch.chdir(tmp_path)
+        pot = tmp_path / "p.json"
+        write_potential(pot, 1.0, [1.0])
+        assert main(["inverse", "--self-test", str(pot), "--out", out]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "schema error: inverse --self-test writes no file and takes no --out\n"
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == [pot]
+
     @pytest.mark.parametrize("meta_n_max, nmax", [(10**15, 6), (7, 6), (None, 10**15)],
                              ids=["meta-huge", "meta-seven", "flag-huge"])
     def test_n_max_beyond_the_samples_exits_two(self, tmp_path, capsys, meta_n_max, nmax):
         # EIG's 194 samples cannot hold 32 n_max pole-circle points for
         # n_max = 7: refused before any array of n_max circles is made
-        data = cli._spectral_data(cli._forward_model(EIG_POTENTIAL, 30, 6), 30, 6)
+        data = cli._spectral_data(cli.AnalyticProvider(EIG_POTENTIAL, 30, 6), 30, 6)
         if meta_n_max is None:
             del data["meta"]["n_max"]
         else:
@@ -890,7 +905,7 @@ class TestArgumentChecks:
         write_potential(pot, beta, q)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rc = main([a.format(pot=pot) for a in argv] + ["--out", str(tmp_path / "out")])
+            rc = main([a.format(pot=pot) for a in argv] + _out_unless_self_test(argv, tmp_path))
         assert rc == 2
         assert capsys.readouterr().err.startswith("numerical error: ")
         assert list(tmp_path.iterdir()) == [pot]
@@ -904,7 +919,7 @@ class TestArgumentChecks:
         # the order, and the refusal is not a traceback
         pot = tmp_path / "p.json"
         write_potential(pot, 1.0, [1.0])
-        argv = [a.format(pot=pot) for a in argv] + ["-A", str(10**10), "--out", str(tmp_path / "out")]
+        argv = [a.format(pot=pot) for a in argv] + ["-A", str(10**10)] + _out_unless_self_test(argv, tmp_path)
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith(
             "schema error: a table of order 10000000000 cannot be allocated (")
@@ -920,6 +935,6 @@ class TestArgumentChecks:
     def test_bad_orders_exit_one(self, tmp_path, capsys, argv, message):
         pot = tmp_path / "p.json"
         write_potential(pot, 1.0, [1.0])
-        assert main([a.format(pot=pot) for a in argv] + ["--out", str(tmp_path / "out")]) == 1
+        assert main([a.format(pot=pot) for a in argv] + _out_unless_self_test(argv, tmp_path)) == 1
         assert capsys.readouterr().err == f"schema error: {message}\n"
         assert list(tmp_path.iterdir()) == [pot]

@@ -1,5 +1,6 @@
 """Spectral-data providers and the reconstruction pipeline."""
 
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -13,6 +14,7 @@ from spectral_sl import (
     NoData,
     NonRealBeta,
     SampledProvider,
+    SchemaError,
     SpectralError,
     pole_strength,
     recover_beta,
@@ -184,6 +186,20 @@ class TestRecoverBeta:
             recover_beta(empty)
 
 
+class TestAnalyticProvider:
+    def test_overflowing_residues_raise_without_warning(self):
+        # q_1 = 3e7 overflows the residues of the rational forms
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SpectralError):
+                AnalyticProvider(FourierPotential(beta=1.0, q=(3e7,)), 30, 6)
+
+    @pytest.mark.parametrize("order, n_max", [(3, 5), (30, 0)], ids=["order-below-nmax", "nmax-0"])
+    def test_order_below_n_max_is_a_schema_error(self, order, n_max):
+        with pytest.raises(SchemaError, match=r"^require order >= n_max >= 1$"):
+            AnalyticProvider(EIG_POTENTIAL, order, n_max)
+
+
 class TestReconstructAnalytic:
     def test_free_potential(self):
         prov = AnalyticProvider(FourierPotential(beta=1.5, q=()), 10)
@@ -233,7 +249,8 @@ class TestReconstructAnalytic:
         c11 = prov.eval_c11(pts)
         c11[: 32 * 3] *= 1e200
         sampled = SampledProvider(pts, c11, prov.eval_c12(pts), prov.eigenvalues)
-        with np.errstate(all="ignore"), pytest.raises(SpectralError, match="harmonic q_2 is not finite"):
+        with warnings.catch_warnings(), pytest.raises(SpectralError, match="harmonic q_2 is not finite"):
+            warnings.simplefilter("error")
             reconstruct(sampled, n_max=3)
 
     def test_conjugate_data_differs_for_asymmetric_potential(self):

@@ -1,11 +1,14 @@
 """Fundamental-solution evaluation, limits, residuals and continuation."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from spectral_sl import (
     FourierPotential,
     PoleProximity,
+    SpectralError,
     ZeroWavenumber,
     build_table,
     eval_f1,
@@ -18,7 +21,7 @@ from spectral_sl import (
 from spectral_sl.scattering import matching_coefficients_f1, matching_coefficients_f2
 from spectral_sl.solutions import _exponent, _series, _weights, eval_with_residual
 
-from .conftest import Q1_TABLE_3, offlattice_lambda, random_potential
+from .conftest import EIG_POTENTIAL, Q1_TABLE_3, offlattice_lambda, random_potential
 from .oracles import QC, exact_forward_table
 
 Q1 = FourierPotential(beta=1.0, q=(1.0,))
@@ -179,6 +182,13 @@ class TestOdeResidual:
         t = build_table(p, 30)
         lam = offlattice_lambda(rng, p.beta)
         assert abs(ode_residual(p, t, lam, -1.1, "f2+")) < 1e-9
+
+    def test_overflow_raises_without_warning(self):
+        # e^{kx} of f2- at lam = 1+1i passes the float range at x = -800
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SpectralError, match=r"^f2- overflows double precision on \[-800\.0, -700\.0\]$"):
+                eval_with_residual(EIG_POTENTIAL, 30, 1 + 1j, np.linspace(-800, -700, 3), "f2-")
 
 
 class TestExtension:
