@@ -25,6 +25,7 @@ spectral-data.json    {"eigenvalues": [{"re","im","sector","multiplicity"}],
                       (`inverse.sample_points`): the pole circle at each
                       n/2, n = 1 ... n_max, then +/- each sector 0
                       eigenvalue or, with none, six far-field points.
+                      `_spectral_provider` checks and reads it in one pass.
 spectrum-report.json  {"eigenvalues": [{"re","im","sector","multiplicity",
                                         "coefficient_value":[re,im]}],
                        "singularities": [{"kind","n","re","im"}],
@@ -160,8 +161,9 @@ def spectral_data_to_dict(eigenvalues, points, c11, c12, meta) -> dict:
     }
 
 
-def load_spectral_data(path) -> dict:
-    data = _load_json(path)
+def _spectral_provider(data) -> SampledProvider:
+    """The provider of a spectral-data dict, each record checked and read in
+    one pass; a record that breaks the format raises SchemaError."""
     _require(isinstance(data, dict), "spectral data must be a JSON object")
     for key in ("eigenvalues", "samples", "meta"):
         _require(key in data, f"spectral data is missing '{key}'")
@@ -170,6 +172,7 @@ def load_spectral_data(path) -> dict:
     _require(isinstance(data["meta"], dict), "'meta' must be an object")
     n_max = data["meta"].get("n_max", 1)  # absent: the inverse takes --nmax
     _require(type(n_max) is int and n_max >= 1, "meta.n_max must be an integer >= 1")
+    eigenvalues, points, c11, c12 = [], [], [], []
     # no message is formatted unless a check fails
     for i, e in enumerate(data["eigenvalues"]):
         if type(e) is not dict:
@@ -185,6 +188,7 @@ def load_spectral_data(path) -> dict:
         mult = e["multiplicity"]
         if not (type(mult) is int and mult >= 1):
             raise SchemaError(f"eigenvalues[{i}].multiplicity must be an integer >= 1")
+        eigenvalues.append((complex(e["re"], e["im"]), e["sector"], mult))
     for i, s in enumerate(data["samples"]):
         if type(s) is not dict:
             raise SchemaError(f"samples[{i}] must be an object")
@@ -195,7 +199,14 @@ def load_spectral_data(path) -> dict:
         if bad is not None:
             what = "a number" if bad in ("re", "im") else "a [re, im] pair of numbers"
             raise SchemaError(f"samples[{i}].{bad} must be {what}")
-    return data
+        points.append(complex(s["re"], s["im"]))
+        c11.append(complex(*s["c11"]))
+        c12.append(complex(*s["c12"]))
+    return SampledProvider(points, c11, c12, eigenvalues, data["meta"])
+
+
+def load_spectral_data(path) -> SampledProvider:
+    return _spectral_provider(_load_json(path))
 
 
 def spectrum_report_to_dict(report: SpectrumReport) -> dict:
@@ -255,12 +266,12 @@ def cmd_inverse(args) -> int:
         _require(args.out is None, "inverse --self-test writes no file and takes no --out")
         potential = load_potential(args.self_test)
         model = AnalyticProvider(potential, args.order, args.nmax)
-        provider = SampledProvider.from_dict(_spectral_data(model, args.order, args.nmax))
+        provider = _spectral_provider(_spectral_data(model, args.order, args.nmax))
     else:
         _require(args.input, "inverse needs a data file or --self-test")
         _require(args.nmax >= 1, "require n_max >= 1")
         provider = sampled_provider(args.input)
-    n_max = provider.meta.get("n_max", args.nmax)  # validated by the loader or the model
+    n_max = provider.meta.get("n_max", args.nmax)  # validated by _spectral_provider
     if POLE_CIRCLE_POINTS * n_max > provider.sample_count:  # before n_max sizes any array
         raise InsufficientSamples(f"{n_max} pole circles need {POLE_CIRCLE_POINTS * n_max} "
                                   f"samples, and the file holds {provider.sample_count}")

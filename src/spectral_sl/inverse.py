@@ -11,9 +11,9 @@ proceeds in four steps:
   4. beta comes from i c11(lam_n) c11(-lam_n) at an eigenvalue, or, when
      the point spectrum is empty, from the large-lambda limit of c12.
 
-A provider is the forward model (`AnalyticProvider`, which the forward
-commands write) or a sampled data file; the extraction code only ever calls
-their evaluators, each time on an array of points, and reads an array back.
+A provider is the forward model (`AnalyticProvider`) or a data file's samples
+(`SampledProvider`, which `cli` alone reads and checks); the extraction code
+only ever calls their evaluators, each time on an array of points.
 """
 
 from __future__ import annotations
@@ -80,26 +80,11 @@ class SampledProvider:
             raise ValueError("points, c11 and c12 must have matching shapes")
         # built back to front, so the first index of a repeated point wins
         self._index = dict(zip(points.tolist()[::-1], range(len(points) - 1, -1, -1)))
-        self.eigenvalues = [
-            (complex(lam), int(sector), int(mult)) for lam, sector, mult in eigenvalues
-        ]
+        self.eigenvalues = list(eigenvalues)
         #: the advisory "meta" object of the file the samples came from
         self.meta = dict(meta or {})
         #: the number of samples, repeated points included
         self.sample_count = len(points)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SampledProvider":
-        """Provider for the contents of a spectral-data file (see `cli`)."""
-        samples = data["samples"]
-        return cls(
-            [complex(s["re"], s["im"]) for s in samples],
-            [complex(*s["c11"]) for s in samples],
-            [complex(*s["c12"]) for s in samples],
-            [(complex(e["re"], e["im"]), e["sector"], e["multiplicity"])
-             for e in data["eigenvalues"]],
-            data["meta"],
-        )
 
     def _interpolate(self, values: np.ndarray, lam):
         """values at lam, a scalar or an array, each looked up by its point."""
@@ -119,10 +104,10 @@ class SampledProvider:
 
 
 def sampled_provider(path) -> SampledProvider:
-    """Build a provider from a spectral-data JSON file."""
+    """The provider of a spectral-data JSON file, which `cli` reads and checks."""
     from .cli import load_spectral_data
 
-    return SampledProvider.from_dict(load_spectral_data(path))
+    return load_spectral_data(path)
 
 
 def recover_diagonal(provider, n_max: int) -> tuple[list, list]:

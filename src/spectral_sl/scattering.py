@@ -104,16 +104,17 @@ def rational_form(table: CoefficientTable, beta: float, name: str) -> RationalFo
     nu = 2j if name in ("c11", "c12") else 2.0 * beta
     rows = table.live_rows
     n = rows + 1.0
-    ia = 1j * np.arange(1, table.order + 1)
-    s, ds = ((table.entries @ w)[rows] for w in (np.ones_like(ia), ia))
-    own = np.array([[a], [b]])  # row 0: the poles of F, row 1: those of G
-    p = n / (2j * own)
-    # the other branch's value g and slope k g + h at each pole, e^{kx} = 1
-    k = (own[::-1] * p).ravel()
-    w = 1.0 / (n[:, None] - 2j * k)
-    g = 1.0 + s @ w
-    g, dg = (v.reshape(p.shape) for v in (g, k * g + ds @ w))
-    r = np.array([[1.0], [-1.0]]) * ((n * s / 2j + ds) * g - s * dg) / (-nu * n)
+    with np.errstate(all="ignore"):  # an overflow is refused below, not warned about
+        ia = 1j * np.arange(1, table.order + 1)
+        s, ds = ((table.entries @ w)[rows] for w in (np.ones_like(ia), ia))
+        own = np.array([[a], [b]])  # row 0: the poles of F, row 1: those of G
+        p = n / (2j * own)
+        # the other branch's value g and slope k g + h at each pole, e^{kx} = 1
+        k = (own[::-1] * p).ravel()
+        w = 1.0 / (n[:, None] - 2j * k)
+        g = 1.0 + s @ w
+        g, dg = (v.reshape(p.shape) for v in (g, k * g + ds @ w))
+        r = np.array([[1.0], [-1.0]]) * ((n * s / 2j + ds) * g - s * dg) / (-nu * n)
     if not (np.isfinite(p).all() and np.isfinite(r).all()):
         raise SpectralError(f"the poles or residues of {name} overflow double precision")
     return RationalForm((a - b) / nu, p.ravel(), r.ravel())

@@ -18,7 +18,8 @@ family is the plus branch at -lam: both have the same k.
 
 `_series` is the only place a branch is evaluated at a point x; everything
 else here, and `whole_line` in `scattering`, calls it, and it reads only a
-table's harmonics and order.  Derivatives are always term-wise, never finite
+table's harmonics and order; its callers refuse an overflow as SpectralError,
+without a numpy warning.  Derivatives are always term-wise, never finite
 differences: the Wronskian identities downstream need exact derivatives.
 """
 
@@ -132,7 +133,10 @@ def _sample(table: CoefficientTable, beta: float, which: str, lam, x) -> Solutio
     if np.ndim(x):
         raise ValueError("x must be a scalar; eval_with_residual takes an array")
     k, scale = _exponent(which, complex(lam), beta)
-    f, df, _ = _series(table.harmonics, table.order, k, x, scale)
+    with np.errstate(all="ignore"):  # an overflow is refused, not warned about
+        f, df, _ = _series(table.harmonics, table.order, k, x, scale)
+    if not np.isfinite([f[0], df[0]]).all():
+        raise SpectralError(f"{which} overflows double precision at x = {x}")
     return SolutionSample(complex(f[0]), complex(df[0]))
 
 
@@ -178,9 +182,14 @@ def _with_residual(potential: FourierPotential, harmonics, order: int, lam: comp
     lam = complex(lam)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     k, scale = _exponent(which, lam, potential.beta)
-    f, df, f2d = _series(harmonics, order, k, x, scale)
-    rho = np.where(x >= 0, 1.0, -(potential.beta**2))
-    return f, df, -f2d + potential.at(x) * f - lam * lam * rho * f
+    with np.errstate(all="ignore"):  # an overflow is refused, not warned about
+        f, df, f2d = _series(harmonics, order, k, x, scale)
+        rho = np.where(x >= 0, 1.0, -(potential.beta**2))
+        res = -f2d + potential.at(x) * f - lam * lam * rho * f
+        if not all(np.isfinite(v).all() for v in (f, df, np.abs(res))):
+            lo, hi = float(np.min(x)), float(np.max(x))
+            raise SpectralError(f"{which} overflows double precision on [{lo!r}, {hi!r}]")
+    return f, df, res
 
 
 def eval_with_residual(potential: FourierPotential, order: int, lam: complex, x,
@@ -188,15 +197,9 @@ def eval_with_residual(potential: FourierPotential, order: int, lam: complex, x,
     """Value, slope and ODE residual of one branch over the real array x,
     from one series pass of the potential's harmonics to ``order``; no table
     is built.  Each point has the bits of `eval_f1` / `eval_f2` and
-    `ode_residual` on `build_table(potential, order)` at that x alone.  A
-    value past the float range raises SpectralError, with no numpy warning.
+    `ode_residual` on `build_table(potential, order)` at that x alone.
     """
-    with np.errstate(all="ignore"):  # an overflow is refused, not warned about
-        f, df, res = _with_residual(potential, potential.q[:order], order, lam, x, which)
-        if not all(np.isfinite(v).all() for v in (f, df, np.abs(res))):
-            lo, hi = float(np.min(x)), float(np.max(x))
-            raise SpectralError(f"{which} overflows double precision on [{lo!r}, {hi!r}]")
-    return f, df, res
+    return _with_residual(potential, potential.q[:order], order, lam, x, which)
 
 
 def ode_residual(potential: FourierPotential, table: CoefficientTable, lam: complex, x: float,

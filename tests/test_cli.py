@@ -9,7 +9,6 @@ import pytest
 from spectral_sl import (
     AnalyticProvider,
     FourierPotential,
-    SampledProvider,
     SchemaError,
     build_table,
     coefficient_evaluators,
@@ -132,7 +131,9 @@ class TestSchemas:
         assert main(["inverse", str(path)]) == 1
         assert capsys.readouterr().err == f"schema error: {message}\n"
         path.write_text(json.dumps({"eigenvalues": [], "samples": [good, good], "meta": {}}))
-        assert load_spectral_data(path)["samples"] == [good, good]
+        provider = load_spectral_data(path)
+        assert provider.sample_count == 2
+        assert (provider.eval_c11(0.5 + 0.01j), provider.eval_c12(0.5 + 0.01j)) == (1 - 2j, 3j)
 
     @pytest.mark.parametrize(
         "bad, message",
@@ -289,8 +290,8 @@ class TestForwardCommand:
         assert report["eigenvalues"] == []
         values = {complex(s["re"], s["im"]) for s in report["singularities"]}
         assert values == {0.5, -0.5, 1.0, -1.0, 0.5j, -0.5j, 1j, -1j}
-        data = load_spectral_data(tmp_path / "spectral-data.json")
-        assert data["meta"]["n_max"] == 2 and data["meta"]["A"] == 30
+        provider = load_spectral_data(tmp_path / "spectral-data.json")
+        assert provider.meta["n_max"] == 2 and provider.meta["A"] == 30
 
     def test_exported_pole_strength_matches_table(self, tmp_path):
         pot = tmp_path / "p.json"
@@ -323,13 +324,13 @@ class TestExportRaster:
 
     def test_default_export_has_no_raster(self, exports):
         plain = load_spectral_data(exports / "plain" / "spectral-data.json")
-        n_eig = len(plain["eigenvalues"])
+        n_eig = len(plain.eigenvalues)
         assert n_eig == 6
         # the pole-strength circle at each n/2 and +/- the one sector 0
         # eigenvalue; no far-field points, which only the eigenvalue-free
         # beta path reads
-        assert [e["sector"] for e in plain["eigenvalues"]].count(0) == 1
-        assert len(plain["samples"]) == 32 * 6 + 2
+        assert [sector for _lam, sector, _mult in plain.eigenvalues].count(0) == 1
+        assert plain.sample_count == 32 * 6 + 2
 
     def test_file_diagonal_matches_analytic(self, exports):
         # the file holds the pole-strength circles exactly, so the diagonal
@@ -380,7 +381,7 @@ def _forward(tmp_path, potential) -> dict:
     pot = tmp_path / "p.json"
     write_potential(pot, potential.beta, potential.q)
     assert main(["forward", str(pot), "--out", str(tmp_path)]) == 0
-    return load_spectral_data(tmp_path / "spectral-data.json")
+    return json.loads((tmp_path / "spectral-data.json").read_text())
 
 
 def _earlier_layout(data, potential) -> dict:
@@ -407,7 +408,7 @@ class TestSamplePlan:
         assert data["meta"] == {"n_max": 6, "A": 30}
         points = [complex(s["re"], s["im"]) for s in data["samples"]]
         assert len(points) == len(set(points)) == n_samples
-        provider = RecordingProvider(SampledProvider.from_dict(data))
+        provider = RecordingProvider(sampled_provider(tmp_path / "spectral-data.json"))
         reconstruct(provider, n_max=6)
         assert provider.queried == set(points)
 
@@ -557,6 +558,22 @@ class TestInverseCommand:
         assert np.array_equal(file_run._c12, test_run._c12)
         assert file_run.eigenvalues == test_run.eigenvalues and len(file_run.eigenvalues) == 6
         assert file_n == test_n == 6
+
+    def test_self_test_checks_its_data_as_a_file(self, tmp_path, capsys, monkeypatch):
+        # the forward model's spectral data passes the file's checks before it
+        # becomes a provider: a sample without c12 is a schema error, not a KeyError
+        real = cli._spectral_data
+
+        def drop_c12(*args):
+            data = real(*args)
+            del data["samples"][0]["c12"]
+            return data
+
+        monkeypatch.setattr(cli, "_spectral_data", drop_c12)
+        pot = tmp_path / "p.json"
+        write_potential(pot, EIG_POTENTIAL.beta, EIG_POTENTIAL.q)
+        assert main(["inverse", "--self-test", str(pot)]) == 1
+        assert capsys.readouterr() == ("", "schema error: samples[0] is missing 'c12'\n")
 
     def test_malformed_file_exits_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -190,6 +190,22 @@ class TestOdeResidual:
             with pytest.raises(SpectralError, match=r"^f2- overflows double precision on \[-800\.0, -700\.0\]$"):
                 eval_with_residual(EIG_POTENTIAL, 30, 1 + 1j, np.linspace(-800, -700, 3), "f2-")
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda table: eval_f1(table, 1 + 1j, complex(0.0, -800.0)), r"f1\+ overflows double precision at x = -800j"),
+        (lambda table: eval_f2(table, 1.0, 1 + 1j, -800.0, "-"), r"f2- overflows double precision at x = -800\.0"),
+        (lambda table: whole_line(table, 1.0, "f1", 1 + 1j, -800.0), r"f2- overflows double precision at x = -800\.0"),
+        (lambda table: ode_residual(EIG_POTENTIAL, table, 1 + 1j, -800.0, "f2-"),
+         r"f2- overflows double precision on \[-800\.0, -800\.0\]"),
+    ], ids=["eval_f1", "eval_f2", "whole_line", "ode_residual"])
+    def test_scalar_overflow_raises_without_warning(self, call, message):
+        # the scalar entry points refuse as eval_with_residual does: e^{kx}
+        # passes the float range, at Im x = -800 for f1+ and x = -800 for f2-
+        table = build_table(EIG_POTENTIAL, 30)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SpectralError, match=f"^{message}$"):
+                call(table)
+
 
 class TestExtension:
     def test_free_case_matches_native(self, zero_table):

@@ -1,5 +1,7 @@
 """Eigenvalue location, singular points and resolvent kernels."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -378,6 +380,21 @@ class TestRationalForm:
                 assert len(eigenvalues) + len(first_order) == len(p) == 2 * len(table.live_rows)
                 trace = p.sum() - (r / d).sum()
                 assert abs(eigenvalues.sum() + first_order.sum() - trace) <= 1e-9 * abs(trace)
+
+    @pytest.mark.parametrize("call", [
+        lambda table: scan_spectrum(table, 1.0, 6),
+        lambda table: coefficient_evaluators(table, 1.0),
+        lambda table: connection_coefficients(table, 1.0, 0.3 + 0.7j),
+        lambda table: resolvent_kernel(table, 1.0, 0.3 + 0.7j, 0.5, 0.25),
+    ], ids=["scan_spectrum", "coefficient_evaluators", "connection_coefficients", "resolvent_kernel"])
+    def test_overflowing_form_raises_without_warning(self, call):
+        # q_1 = 3e7 overflows the residues: each caller of rational_form
+        # refuses, and numpy warns nothing on the way
+        table = build_table(FourierPotential(beta=1.0, q=(3e7,)), 30)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SpectralError, match=r"^the poles or residues of c1[12] overflow double precision$"):
+                call(table)
 
     def test_double_zero_is_merged(self):
         # 1 + 0.5/(lam - 3 - 2i) - 0.5/(lam - 1 - 2i) = u^2/(u^2 - 1), u = lam - 2 - 2i
