@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import SchemaError
+from .errors import SchemaError, SpectralError
 
 
 @dataclass(frozen=True)
@@ -138,8 +138,13 @@ def _fill(order: int, band: Sequence[complex] = (), diag=None) -> CoefficientTab
 
 
 def build_table(potential: FourierPotential, order: int = 30) -> CoefficientTable:
-    """Fill the table from the potential harmonics q_1 ... q_order."""
-    return _fill(order, potential.q)
+    """Fill the table from the potential harmonics q_1 ... q_order.  An entry
+    past the float range is a SpectralError, with no numpy warning."""
+    with np.errstate(all="ignore"):  # an overflow is refused, not warned about
+        table = _fill(order, potential.q)
+    if not np.isfinite(table.entries).all():
+        raise SpectralError(f"the table of order {order} overflows double precision")
+    return table
 
 
 def table_from_diagonal(diag: Sequence[complex]) -> CoefficientTable:

@@ -184,7 +184,7 @@ def _with_residual(potential: FourierPotential, harmonics, order: int, lam: comp
     k, scale = _exponent(which, lam, potential.beta)
     with np.errstate(all="ignore"):  # an overflow is refused, not warned about
         f, df, f2d = _series(harmonics, order, k, x, scale)
-        rho = np.where(x >= 0, 1.0, -(potential.beta**2))
+        rho = np.where(x >= 0, 1.0, -np.square(potential.beta))
         res = -f2d + potential.at(x) * f - lam * lam * rho * f
         if not all(np.isfinite(v).all() for v in (f, df, np.abs(res))):
             lo, hi = float(np.min(x)), float(np.max(x))

@@ -14,8 +14,10 @@ matrix (`secular_zeros`).  The scan lists those inside each listing box,
 polished by Newton on the form (`rational_zeros`), with the mirror of every
 hit; each hit's coefficient_value is the same form's value.  The two axes
 carry the continuous spectrum, with distinguished points at n/2 and
-i n/(2 beta).  `find_zeros`, the winding-number box search, is kept for its
-tests and the benchmark's tracer.  docs/spectrum.md has the derivation.
+i n/(2 beta).  `find_zeros`, the winding-number box search, is on no
+product path: it is kept only because perfbench/spans.py wraps it,
+`_winding` and `_newton_polish` by name, and ROADMAP item 2 deletes it after
+item 1.  docs/spectrum.md has the derivation.
 """
 
 from __future__ import annotations
@@ -168,106 +170,35 @@ def _newton_polish(fn: Callable, z0: complex, tol: float) -> tuple:
     return z, False
 
 
-def _pencil_zeros(fn: Callable, pts, vals, box, w: int, tol: float):
-    """Newton-polished zeros of fn in box from the Hankel pencil of its
-    moments s_p = (1/2 pi i) ∮ u^p f'/f dz, p < 2w (Kravanja & Van Barel
-    2000), on u centred on the box and scaled by its half-side, by the
-    midpoint rule on log(f_{j+1}/f_j).  None unless all w converge strictly
-    inside the box and are pairwise distinct."""
-    re_lo, re_hi, im_lo, im_hi = box
-    c = complex(0.5 * (re_lo + re_hi), 0.5 * (im_lo + im_hi))
-    r = 0.5 * max(re_hi - re_lo, im_hi - im_lo)
-    u = (0.5 * (pts + np.roll(pts, -1)) - c) / r
-    dlog = np.log(np.roll(vals, -1) / vals)
-    s = np.array([np.sum(u**p * dlog) for p in range(2 * w)]) / (2j * np.pi)
-    hankel = np.add.outer(np.arange(w), np.arange(w))
-    try:
-        starts = c + r * np.linalg.eigvals(np.linalg.solve(s[hankel], s[hankel + 1]))
-    except np.linalg.LinAlgError:  # singular H0, or a non-finite pencil
-        return None
-    zeros = []
-    for z0 in starts:
-        z, converged = _newton_polish(fn, z0, tol)
-        inside = re_lo < z.real < re_hi and im_lo < z.imag < im_hi
-        if not (converged and inside) or any(abs(z - y) <= max(100.0 * tol, 1e-7) for y in zeros):
-            return None
-        zeros.append(z)
-    return zeros
-
-
-#: Split fractions (real, imaginary) of a quartered box, tried in turn when
-#: a child's contour passes through a zero; dyadic, so a retried child's
-#: edges still lie on its parent's winding ring.
-SPLITS = ((0.5, 0.5), (7 / 16, 9 / 16), (9 / 16, 7 / 16))
-
-
-def find_zeros(
-    fn: Callable,
-    box,
-    tol: float = 1e-9,
-    per_edge: int = 128,
-    max_depth: int = 12,
-) -> list:
+def find_zeros(fn: Callable, box, tol: float = 1e-9, max_depth: int = 12) -> list:
     """Zeros (with multiplicity) of an analytic function inside a rectangle.
 
-    Recursive winding-number counting: boxes with zero winding are dropped,
-    boxes small enough are handed to Newton polishing, everything else is
-    quartered.  A box of winding 1 <= w <= 4, the root included, first tries
-    `_pencil_zeros` on the samples of its winding count: w distinct zeros
-    inside a box of winding w are all of them, and simple.  Otherwise it is
-    quartered, so multiple zeros and windings > 4 reach the leaf size.  A
-    contour through a zero retries the root on a slightly padded box, whose
-    zeros more than max(100 tol, 1e-7) outside the given box are dropped.
-    ``fn`` must accept complex numpy arrays.
+    Recursive winding-number counting: a box of winding 0 is dropped, a box
+    small enough is handed to Newton polishing, and everything else is
+    quartered at its midlines.  A contour through a zero raises
+    ContourThroughZero.  ``fn`` must accept complex numpy arrays.  Kept
+    only because perfbench/spans.py wraps this, `_winding` and
+    `_newton_polish` by name; ROADMAP item 2 deletes it after item 1.
     """
 
     def recurse(b, depth):
         if depth > max_depth:
             raise BudgetExceeded(f"subdivision exceeded depth {max_depth}")
-        w, pts, vals = _winding(fn, b, per_edge)
+        w = _winding(fn, b, 128)[0]
         if w == 0:
             return []
         if w < 0:
             raise SpectralError(f"negative winding on {b}: fn is not analytic there")
         re_lo, re_hi, im_lo, im_hi = b
+        rm, im = 0.5 * (re_lo + re_hi), 0.5 * (im_lo + im_hi)
         size = max(re_hi - re_lo, im_hi - im_lo)
         if size <= 64.0 * max(tol, 1e-12) or size <= 1e-2:
-            center = complex(0.5 * (re_lo + re_hi), 0.5 * (im_lo + im_hi))
-            return [(_newton_polish(fn, center, tol)[0], w)]
-        if w <= 4 and (zeros := _pencil_zeros(fn, pts, vals, b, w, tol)) is not None:
-            return [(z, 1) for z in zeros]
-        for attempt, (fr, fi) in enumerate(SPLITS):
-            # each fraction is used by one split only, so one zero lies on
-            # the lines of at most two of the three splits
-            rm = re_lo + fr * (re_hi - re_lo)
-            im = im_lo + fi * (im_hi - im_lo)
-            quads = [
-                (re_lo, rm, im_lo, im),
-                (rm, re_hi, im_lo, im),
-                (re_lo, rm, im, im_hi),
-                (rm, re_hi, im, im_hi),
-            ]
-            try:
-                out = []
-                for qb in quads:
-                    out.extend(recurse(qb, depth + 1))
-                return out
-            except ContourThroughZero:
-                if attempt == len(SPLITS) - 1:
-                    raise
+            return [(_newton_polish(fn, complex(rm, im), tol)[0], w)]
+        quads = ((re_lo, rm, im_lo, im), (rm, re_hi, im_lo, im),
+                 (re_lo, rm, im, im_hi), (rm, re_hi, im, im_hi))
+        return [pair for qb in quads for pair in recurse(qb, depth + 1)]
 
-    try:
-        raw = recurse(tuple(float(v) for v in box), 0)
-    except ContourThroughZero:
-        # one retry with a slightly inflated box, whose sides stay off the axes
-        re_lo, re_hi, im_lo, im_hi = box
-        pad = 4.5e-3 * max(re_hi - re_lo, im_hi - im_lo)
-        lo = lambda v: max(v - pad, 0.25 * v) if v > 0 else v - pad
-        hi = lambda v: min(v + pad, 0.25 * v) if v < 0 else v + pad
-        raw = recurse((lo(re_lo), hi(re_hi), lo(im_lo), hi(im_hi)), 0)
-        raw = [(z, m) for z, m in raw if _in_box(z, box, max(100.0 * tol, 1e-7))]
-
-    return _merge(raw, tol)
+    return _merge(recurse(tuple(float(v) for v in box), 0), tol)
 
 
 def _merge(raw, tol: float) -> list:

@@ -724,6 +724,28 @@ class TestEvalCommand:
         assert capsys.readouterr().err.startswith("numerical error: ")
         assert list(tmp_path.iterdir()) == [pot]
 
+    @pytest.mark.parametrize("which", ["f1+", "f1-", "f2+", "f2-"])
+    def test_huge_beta_exits_cleanly(self, tmp_path, capsys, which):
+        # beta^2 = 1e600 is past the float range: f1 on x >= 0, where rho is 1,
+        # never reads it, while -beta^2 lam^2 f on x < 0 overflows and f2 is
+        # refused, with no warning and no CSV
+        pot = tmp_path / "p.json"
+        write_potential(pot, 1e300, [4.0 + 4.0j])
+        csv = tmp_path / "c.csv"
+        x_range = "--x-range=0:1:3" if which[:2] == "f1" else "--x-range=-1:-0.5:3"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["eval", str(pot), "--lambda", "1+1i", x_range, "--solution", which,
+                       "--out", str(csv)])
+        err = capsys.readouterr().err
+        if which[:2] == "f1":
+            assert rc == 0 and err == ""
+            assert len(csv.read_text().splitlines()) == 4
+        else:
+            assert rc == 2
+            assert err == f"numerical error: {which} overflows double precision on [-1.0, -0.5]\n"
+            assert list(tmp_path.iterdir()) == [pot]
+
     def test_dead_row_is_no_pole(self, tmp_path, capsys):
         # q = (0, 1) leaves row 1 of the table zero: lam = -1/2 is no pole of
         # f1+, while lam = -1, on the live row 2, is one

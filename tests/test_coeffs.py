@@ -8,6 +8,7 @@ import pytest
 
 from spectral_sl import (
     FourierPotential,
+    SpectralError,
     build_table,
     harmonics_from_table,
     recurrence_residuals,
@@ -86,6 +87,13 @@ class TestForwardTable:
             assert tc.entry(1, 1) == -c * q[0]
             assert np.all(np.isfinite(tc.entries))
             assert np.max(np.abs(tc.entries)) <= np.max(np.abs(base.entries)) + 1.0
+
+    def test_overflowing_table_raises_without_warning(self):
+        # column a grows like q_1^a, so q_1 = 1e100 passes the float range
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SpectralError, match=r"^the table of order 30 overflows double precision$"):
+                build_table(FourierPotential(beta=1.0, q=(1e100,)), 30)
 
     def test_nonzero_diagonal_propagates_along_row(self):
         # exact arithmetic: for a single-harmonic potential, V[n,n] != 0

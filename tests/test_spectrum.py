@@ -101,29 +101,20 @@ class TestFindZeros:
         assert mult == 2
         assert abs(z - (1 + 1j)) < 1e-6
 
-    def test_boundary_zero_is_retried(self):
-        # zero exactly on the initial contour: the padded retry recovers it
-        fn = lambda z: np.asarray(z, dtype=complex) - (0.1 + 0.1j)
-        zeros = find_zeros(fn, (0.1, 2.0, 0.1, 2.0), tol=1e-10)
-        assert len(zeros) == 1
-        assert abs(zeros[0][0] - (0.1 + 0.1j)) < 1e-8
-
-    def test_retry_pad_stays_off_the_axes(self):
-        # the corner zero sends the search to its padded retry, whose pad
-        # (4.5e-3 of the 1.995 side, about 0.009) is wider than the 0.005
-        # gap to each axis
-        points = []
-
-        def fn(z):
-            z = np.asarray(z, dtype=complex)
-            points.append(z)
-            return z - (0.005 + 0.005j)
-
-        zeros = find_zeros(fn, (0.005, 2.0, 0.005, 2.0), tol=1e-10)
-        assert len(zeros) == 1
-        assert abs(zeros[0][0] - (0.005 + 0.005j)) < 1e-8
-        sampled = np.concatenate(points)
-        assert sampled.real.min() > 0 and sampled.imag.min() > 0
+    @pytest.mark.parametrize(
+        "fn, box",
+        [
+            (lambda z: np.asarray(z, dtype=complex) - (1.0 + 0.1j), (0.1, 2.0, 0.1, 2.0)),
+            (lambda z: np.asarray(z, dtype=complex) - (0.1 + 0.1j), (0.1, 2.0, 0.1, 2.0)),
+            (lambda z: (np.asarray(z, dtype=complex) - (1.55 + 1.55j)) ** 2, (0.1, 3.0, 0.1, 3.0)),
+        ],
+        ids=["edge", "corner", "midlines"],
+    )
+    def test_contour_through_a_zero_raises(self, fn, box):
+        # a zero on the root edge, at its corner, or (double) on both of its
+        # midlines, where the children's contours pass through it
+        with pytest.raises(ContourThroughZero):
+            find_zeros(fn, box, tol=1e-10)
 
     def test_doubling_evaluates_only_the_midpoints(self):
         # a zero 1e-3 inside the bottom edge, midway between two first-ring
@@ -144,31 +135,6 @@ class TestFindZeros:
         assert pts.size == 1_024
         np.testing.assert_array_equal(pts, spectrum_module._boundary_points(box, 256))
         np.testing.assert_array_equal(vals, fn(pts))
-        zeros = find_zeros(fn, box, tol=1e-10)
-        assert len(zeros) == 1 and abs(zeros[0][0] - zero) < 1e-9
-
-    def test_double_zero_at_the_centre_takes_the_second_split(self, monkeypatch):
-        # the zero lies on both midlines of the root box, so the children of
-        # the (1/2, 1/2) split pass through it; the (7/16, 9/16) split keeps
-        # it inside one child, which is quartered down to a leaf
-        boxes = []
-        winding = spectrum_module._winding
-
-        def spy(fn, box, per_edge):
-            boxes.append(box)
-            return winding(fn, box, per_edge)
-
-        monkeypatch.setattr(spectrum_module, "_winding", spy)
-        centre = 1.55 + 1.55j
-        fn = lambda z: (np.asarray(z, dtype=complex) - centre) ** 2
-        zeros = find_zeros(fn, (0.1, 3.0, 0.1, 3.0), tol=1e-9)
-        assert len(zeros) == 1
-        z, mult = zeros[0]
-        assert mult == 2
-        assert abs(z - centre) < 1e-6
-        rm, im = (0.1 + f * (3.0 - 0.1) for f in (7 / 16, 9 / 16))
-        assert (rm, 3.0, 0.1, im) in boxes
-        assert not any(b[0] == 0.1 + 9 / 16 * (3.0 - 0.1) for b in boxes[1:])
 
     def test_identically_tiny_function_fails(self):
         fn = lambda z: (np.asarray(z, dtype=complex) - (1 + 1j)) * 1e-20
@@ -176,107 +142,19 @@ class TestFindZeros:
             find_zeros(fn, (0.1, 2.0, 0.1, 2.0))
 
     def test_budget(self):
-        # a double zero defeats the moment handoff, so its boxes are quartered
-        # until the depth limit
+        # the box holding the double zero is quartered until the depth limit,
+        # long before it shrinks to a leaf
         fn = lambda z: (np.asarray(z, dtype=complex) - (1 + 1j)) ** 2
         with pytest.raises(BudgetExceeded):
             find_zeros(fn, (0.1, 9.0, 0.1, 9.0), max_depth=2)
 
-    def test_close_pair_in_one_handoff_box(self):
+    def test_close_pair_across_a_midline(self):
         # both zeros lie in the depth-3 box [0.75, 1]^2 of the root box
         # [0, 2]^2, 1e-3 apart across its midline: that box winds twice and
-        # is quartered, and each child winds once, with its partner zero
-        # 5e-4 outside its edge
+        # is quartered, and each zero is quartered down to a leaf of its own
         a, b = 0.8745 + 0.9j, 0.8755 + 0.9j
         fn = lambda z: (np.asarray(z, dtype=complex) - a) * (np.asarray(z, dtype=complex) - b)
         zeros = find_zeros(fn, (0.0, 2.0, 0.0, 2.0), tol=1e-10)
-        assert len(zeros) == 2
-        (z1, m1), (z2, m2) = zeros
-        assert m1 == m2 == 1
-        assert abs(z1 - a) < 1e-9 and abs(z2 - b) < 1e-9
-
-    @pytest.mark.parametrize(
-        "first_result",
-        [(50.0 + 50.0j, True), (1.0 + 1.0j, False)],
-        ids=["converged-outside", "inside-not-converged"],
-    )
-    def test_rejected_handoff_falls_back_to_quartering(self, monkeypatch, first_result):
-        # the first handoff is refused (Newton left the box, or did not
-        # converge), so its box is quartered and a child hands off again
-        newton = spectrum_module._newton_polish
-        starts = []
-
-        def polish(fn, z0, tol):
-            starts.append(z0)
-            return first_result if len(starts) == 1 else newton(fn, z0, tol)
-
-        monkeypatch.setattr(spectrum_module, "_newton_polish", polish)
-        fn = lambda z: np.asarray(z, dtype=complex) - (1 + 1j)
-        zeros = find_zeros(fn, (0.1, 3.0, 0.1, 3.0), tol=1e-10)
-        assert len(starts) >= 2
-        assert len(zeros) == 1
-        z, mult = zeros[0]
-        assert abs(z - (1 + 1j)) < 1e-9
-        assert mult == 1
-
-    def test_three_zeros_from_one_winding_count(self):
-        # the root box winds three times and its moment pencil hands all
-        # three zeros to Newton: one 512-point winding count plus Newton
-        roots = (0.7 + 0.4j, 1.9 + 2.2j, 2.5 + 0.9j)
-        points = [0]
-
-        def fn(z):
-            z = np.asarray(z, dtype=complex)
-            points[0] += z.size
-            return (z - roots[0]) * (z - roots[1]) * (z - roots[2])
-
-        zeros = find_zeros(fn, (0.1, 3.0, 0.1, 3.0), tol=1e-10)
-        assert points[0] <= 512 + 300
-        assert [m for _z, m in zeros] == [1, 1, 1]
-        for (z, _m), root in zip(zeros, roots):
-            assert abs(z - root) < 1e-10
-
-    def test_five_zeros_are_quartered(self, monkeypatch):
-        # the pencil is tried only up to winding 4: a root box of winding 5
-        # is quartered before any handoff
-        windings = []
-        pencil = spectrum_module._pencil_zeros
-
-        def spy(fn, pts, vals, box, w, tol):
-            windings.append(w)
-            return pencil(fn, pts, vals, box, w, tol)
-
-        monkeypatch.setattr(spectrum_module, "_pencil_zeros", spy)
-        roots = [0.5 + 0.5j, 2.5 + 0.5j, 0.5 + 2.5j, 2.5 + 2.5j, 1.7 + 1.2j]
-
-        def fn(z):
-            z = np.asarray(z, dtype=complex)
-            return np.prod([z - r for r in roots], axis=0)
-
-        zeros = find_zeros(fn, (0.1, 3.0, 0.1, 3.0), tol=1e-10)
-        assert 5 not in windings and windings
-        assert sorted(m for _z, m in zeros) == [1] * 5
-        for r in roots:
-            assert min(abs(z - r) for z, _m in zeros) < 1e-9
-
-    def test_repeated_root_falls_back_to_quartering(self, monkeypatch):
-        # Newton is forced to return the first zero for both starts of the
-        # root box (winding 2): the two roots are not distinct, so the box
-        # is quartered and each child hands its own zero off
-        newton = spectrum_module._newton_polish
-        calls = []
-
-        def polish(fn, z0, tol):
-            calls.append(z0)
-            if len(calls) == 2:
-                return newton(fn, calls[0], tol)
-            return newton(fn, z0, tol)
-
-        monkeypatch.setattr(spectrum_module, "_newton_polish", polish)
-        a, b = 0.7 + 0.4j, 1.9 + 2.2j
-        fn = lambda z: (np.asarray(z, dtype=complex) - a) * (np.asarray(z, dtype=complex) - b)
-        zeros = find_zeros(fn, (0.1, 3.0, 0.1, 3.0), tol=1e-10)
-        assert len(calls) >= 4
         assert len(zeros) == 2
         (z1, m1), (z2, m2) = zeros
         assert m1 == m2 == 1
@@ -354,7 +232,7 @@ class TestRationalForm:
                 want = series_coefficient(table, beta, name, z)
                 assert abs(getattr(cc, name) - want) < 1e-12 * abs(want)
 
-    def test_listing_matches_the_box_search(self):
+    def test_listing_matches_the_winding_count(self):
         # the argument principle is the reference: the listed coefficient
         # winds around its listing box once per listed zero, and around a
         # small circle on each hit once per unit of its multiplicity
