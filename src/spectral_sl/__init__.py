@@ -7,15 +7,10 @@ from .coeffs import (
     FourierPotential,
     TailReport,
     build_table,
-    harmonics_from_table,
-    recurrence_residuals,
     table_from_diagonal,
     tail_report,
 )
 from .errors import (
-    BudgetExceeded,
-    ContourThroughZero,
-    ExtrapolationDivergence,
     InsufficientSamples,
     NearSpectrum,
     NoData,
@@ -38,7 +33,6 @@ from .scattering import (
     ConnectionCoefficients,
     coefficient_evaluators,
     connection_coefficients,
-    pole_strength,
     whole_line,
     wronskian,
 )
@@ -54,7 +48,6 @@ from .spectrum import (
     EigenvalueHit,
     Singularity,
     SpectrumReport,
-    find_zeros,
     resolvent_kernel,
     resolvent_residue,
     scan_spectrum,
@@ -65,12 +58,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnalyticProvider",
-    "BudgetExceeded",
     "CoefficientTable",
     "ConnectionCoefficients",
-    "ContourThroughZero",
     "EigenvalueHit",
-    "ExtrapolationDivergence",
     "FourierPotential",
     "InsufficientSamples",
     "NearSpectrum",
@@ -93,14 +83,10 @@ __all__ = [
     "eval_f1",
     "eval_f2",
     "eval_fn_limit",
-    "find_zeros",
-    "harmonics_from_table",
     "ode_residual",
-    "pole_strength",
     "recover_beta",
     "recover_diagonal",
     "reconstruct",
-    "recurrence_residuals",
     "resolvent_kernel",
     "resolvent_residue",
     "sampled_provider",

@@ -148,8 +148,14 @@ def build_table(potential: FourierPotential, order: int = 30) -> CoefficientTabl
 
 
 def table_from_diagonal(diag: Sequence[complex]) -> CoefficientTable:
-    """Fill the table, and with it q_1 ... q_order, from its diagonal V[n, n]."""
-    return _fill(len(diag), diag=diag)
+    """Fill the table, and with it q_1 ... q_order, from its diagonal V[n, n].
+    A harmonic that is not finite is a SpectralError, with no numpy warning."""
+    with np.errstate(all="ignore"):  # an overflow is refused, not warned about
+        table = _fill(len(diag), diag=diag)
+    bad = np.flatnonzero(~np.isfinite(table.harmonics))
+    if bad.size:
+        raise SpectralError(f"the rebuilt harmonic q_{bad[0] + 1} is not finite")
+    return table
 
 
 def harmonics_from_table(table: CoefficientTable) -> list:

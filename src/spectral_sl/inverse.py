@@ -23,8 +23,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .coeffs import FourierPotential, build_table, harmonics_from_table, table_from_diagonal
-from .errors import InsufficientSamples, NoData, NonRealBeta, SchemaError, SpectralError
+from .coeffs import FourierPotential, build_table, table_from_diagonal
+from .errors import InsufficientSamples, NoData, NonRealBeta, SchemaError
 from .scattering import coefficient_evaluators, pole_circle, pole_strengths, richardson_limit
 from .spectrum import scan_spectrum
 
@@ -160,7 +160,8 @@ def recover_beta(provider) -> float:
     if on_eigenvalues:
         c11 = provider.eval_c11(points).tolist()
         half = len(c11) // 2
-        est = complex(np.mean([1j * a * b for a, b in zip(c11[:half], c11[half:])]))
+        with np.errstate(all="ignore"):  # an overflow is refused below, not warned about
+            est = complex(np.mean([1j * a * b for a, b in zip(c11[:half], c11[half:])]))
     else:
         try:
             c12 = provider.eval_c12(points).tolist()
@@ -182,15 +183,12 @@ def reconstruct(provider, n_max: int) -> ReconstructionResult:
     """Full recovery (beta, q_1 ... q_n_max) with per-step diagnostics.
 
     The rebuilt table is of size n_max, which is all the first n_max
-    harmonics require.  A beta that `recover_beta` refuses, or a harmonic
-    that is not finite, raises a SpectralError, with no numpy warning.
+    harmonics require.  Each step refuses with a SpectralError and no numpy
+    warning: `recover_beta` a beta it cannot read as real and positive,
+    then `table_from_diagonal` a harmonic that is not finite.
     """
-    with np.errstate(all="ignore"):  # an overflow is refused, not warned about
-        diag, flags = recover_diagonal(provider, n_max)
-        q = harmonics_from_table(table_from_diagonal(diag))
-        beta = recover_beta(provider)
-    bad = np.flatnonzero(~np.isfinite(q))
-    if bad.size:  # pole strengths whose table overflows
-        raise SpectralError(f"the rebuilt harmonic q_{bad[0] + 1} is not finite")
+    diag, flags = recover_diagonal(provider, n_max)
+    beta = recover_beta(provider)
+    q = list(table_from_diagonal(diag).harmonics)
     diagnostics = {"stable_harmonics": flags, "eigenvalue_count": len(provider.eigenvalues)}
     return ReconstructionResult(beta=beta, q=q, diagnostics=diagnostics)

@@ -253,7 +253,7 @@ def pole_strengths(c11_fn: Callable, c12_fn: Callable, ns) -> tuple[np.ndarray, 
     flat = lam.reshape(-1)
     c12 = np.asarray(c12_fn(flat), dtype=complex).reshape(lam.shape)
     c11 = np.asarray(c11_fn(flat), dtype=complex).reshape(lam.shape)
-    with np.errstate(divide="ignore", invalid="ignore"):  # a rejected row is reported, not warned
+    with np.errstate(all="ignore"):  # a rejected row is reported, not warned
         g = (lam - ns[:, None] / 2.0) * c11 / c12
         full = 2.0 * g.mean(axis=1)
         half = 2.0 * g[:, ::2].mean(axis=1)

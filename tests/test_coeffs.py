@@ -10,11 +10,10 @@ from spectral_sl import (
     FourierPotential,
     SpectralError,
     build_table,
-    harmonics_from_table,
-    recurrence_residuals,
     table_from_diagonal,
     tail_report,
 )
+from spectral_sl.coeffs import harmonics_from_table, recurrence_residuals
 
 from .conftest import Q1_TABLE_3, random_potential
 from .oracles import QC, exact_diagonal_fill, exact_forward_table

@@ -8,7 +8,6 @@ import pytest
 
 from spectral_sl import (
     AnalyticProvider,
-    ExtrapolationDivergence,
     FourierPotential,
     InsufficientSamples,
     NoData,
@@ -16,14 +15,15 @@ from spectral_sl import (
     SampledProvider,
     SchemaError,
     SpectralError,
-    pole_strength,
     recover_beta,
     recover_diagonal,
     reconstruct,
-    recurrence_residuals,
     table_from_diagonal,
 )
+from spectral_sl.coeffs import recurrence_residuals
+from spectral_sl.errors import ExtrapolationDivergence
 from spectral_sl.inverse import FALLBACK_DIRECTION, FALLBACK_RADII, sample_points
+from spectral_sl.scattering import pole_strength, pole_strengths
 
 from .conftest import EIG_POTENTIAL, random_potential
 
@@ -320,3 +320,46 @@ class TestSampledProvider:
         listed = pts.tolist()
         for r in FALLBACK_RADII:
             assert r * FALLBACK_DIRECTION in listed
+
+
+def _overflowing_table():
+    with pytest.raises(SpectralError, match=r"^the rebuilt harmonic q_2 is not finite$"):
+        table_from_diagonal([1e300] * 30)
+
+
+def _overflowing_circles():
+    # every ratio sample on every circle overflows
+    _values, reasons = pole_strengths(lambda lam: np.full(np.shape(lam), 1e308 + 0j),
+                                      lambda lam: np.full(np.shape(lam), 1e-3 + 0j), range(1, 7))
+    assert reasons == [f"non-finite ratio sample on the circle at n={n}" for n in range(1, 7)]
+
+
+def _overflowing_beta():
+    class Huge:
+        eigenvalues = [(1 + 1j, 0, 1)]
+        eval_c11 = staticmethod(lambda lam: np.full(np.shape(lam), 1e200 + 0j))
+        eval_c12 = staticmethod(lambda lam: np.full(np.shape(lam), 1e-3 + 0j))
+
+    with pytest.raises(NonRealBeta):
+        recover_beta(Huge())
+
+
+class TestStepsRefuseOverflow:
+    @pytest.mark.parametrize("case", [_overflowing_table, _overflowing_circles, _overflowing_beta],
+                             ids=["table_from_diagonal", "pole_strengths", "recover_beta"])
+    def test_without_warning(self, case):
+        # called directly, with no caller's errstate around them
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            case()
+
+    def test_beta_is_refused_before_the_table(self):
+        # every circle is accepted, with a diagonal of 2e203 whose table
+        # overflows; the far-field c12 of 1e-3 gives beta 1.002j, which wins
+        pts = sample_points([], 6)
+        n = np.repeat(np.arange(1, 7), 32)
+        c11 = np.concatenate([1e200 / (pts[:192] - n / 2), np.zeros(6)])
+        prov = SampledProvider(pts, c11, np.full(pts.shape, 1e-3 + 0j))
+        assert recover_diagonal(prov, 6)[1] == [True] * 6
+        with pytest.raises(NonRealBeta, match=r"^recovered beta 1\.002j "):
+            reconstruct(prov, 6)

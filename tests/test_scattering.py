@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from spectral_sl import (
-    ExtrapolationDivergence,
     FourierPotential,
     PoleProximity,
     ZeroWavenumber,
@@ -13,11 +12,11 @@ from spectral_sl import (
     connection_coefficients,
     eval_f1,
     eval_f2,
-    pole_strength,
     wronskian,
 )
+from spectral_sl.errors import ExtrapolationDivergence
 from spectral_sl.inverse import sample_points
-from spectral_sl.scattering import pole_circle, pole_strengths, rational_form
+from spectral_sl.scattering import pole_circle, pole_strength, pole_strengths, rational_form
 from spectral_sl.solutions import POLE_TOL
 from spectral_sl.spectrum import scan_spectrum
 

@@ -6,8 +6,6 @@ import numpy as np
 import pytest
 
 from spectral_sl import (
-    BudgetExceeded,
-    ContourThroughZero,
     FourierPotential,
     NearSpectrum,
     SpectralError,
@@ -16,7 +14,6 @@ from spectral_sl import (
     connection_coefficients,
     eval_f1,
     eval_f2,
-    find_zeros,
     resolvent_kernel,
     resolvent_residue,
     scan_spectrum,
@@ -26,10 +23,12 @@ from spectral_sl import (
 )
 import spectral_sl.scattering as scattering_module
 import spectral_sl.spectrum as spectrum_module
+from spectral_sl.errors import BudgetExceeded, ContourThroughZero
 from spectral_sl.scattering import RationalForm, rational_form
 from spectral_sl.spectrum import (
     LISTED,
     _winding,
+    find_zeros,
     rational_zeros,
     secular_zeros,
     sector_of,
